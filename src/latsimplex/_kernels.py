@@ -1,9 +1,9 @@
-"""Pure-Python reference kernels.
+"""The hot inner loops, in plain Python.
 
-These are the fallback implementations of the two hot inner loops: breadth
-first closure of a generating set under coordinatewise addition mod 1, and
-lattice-point counting over an integer box.  The compiled extension in
-``_speed.pyx`` mirrors their behaviour exactly; both must stay in lockstep.
+Breadth-first closure of a generating set under coordinatewise addition
+mod 1, its one-row incremental form, and lattice-point counting over an
+integer box.  Tests compare the counter against a straight box scan kept
+in ``tests/_support.py``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,11 @@ STATUS_OK = 0
 STATUS_TOO_LARGE = 1
 STATUS_WEIGHT = 2
 STATUS_HEIGHT = 3
+
+
+def active_backend() -> str:
+    """Name of the kernel implementation; there is only the Python one."""
+    return "python"
 
 
 def closure_table(gens, e, den, cap, max_weight=-1, max_height_num=-1,
@@ -97,45 +102,55 @@ def count_box_points(adj, det_sign, lows, highs, n, strict=False):
 
     ``adj`` is the adjugate of the bordered vertex matrix (rows ``(v_i, 1)``),
     so for a point ``p`` the vector ``(p, n) @ adj`` equals ``det`` times the
-    barycentric coordinates.  Membership is a sign test against ``det_sign``;
-    all arithmetic is exact integer arithmetic.
+    barycentric coordinates.  A point counts when every entry of
+    ``det_sign * (p, n) @ adj`` is >= 0 (> 0 when ``strict``); all
+    arithmetic is exact integer arithmetic.
+
+    The box is walked one coordinate at a time.  ``reach[k][i]`` is the most
+    that coordinates k..d-1 can still add to barycentric entry i, so at each
+    depth only the integer interval of values that leaves every entry able
+    to reach its threshold is visited.  At the last coordinate nothing
+    remains to add, the interval is exact and it is counted, not scanned.
     """
     d = len(lows)
-    m = d + 1
-    rows = [tuple(det_sign * x for x in row) for row in adj]
     if d == 0:
         return 1
-    for j in range(d):
-        if lows[j] > highs[j]:
-            return 0
-    # t holds det_sign * (p, n) @ adj for the current point p.
-    t = [n * rows[d][i] for i in range(m)]
-    for j in range(d):
-        lj = lows[j]
-        for i in range(m):
-            t[i] += lj * rows[j][i]
-    pos = list(lows)
-    count = 0
-    while True:
-        if strict:
-            ok = all(x > 0 for x in t)
-        else:
-            ok = all(x >= 0 for x in t)
-        if ok:
-            count += 1
-        k = 0
-        while k < d:
-            if pos[k] < highs[k]:
-                pos[k] += 1
-                rk = rows[k]
-                for i in range(m):
-                    t[i] += rk[i]
-                break
-            span = highs[k] - lows[k]
-            pos[k] = lows[k]
-            rk = rows[k]
-            for i in range(m):
-                t[i] -= span * rk[i]
-            k += 1
-        else:
-            return count
+    if any(lo > hi for lo, hi in zip(lows, highs)):
+        return 0
+    rows = [[det_sign * x for x in row] for row in adj]
+    reach = [[0] * (d + 1)]
+    for k in range(d - 1, -1, -1):
+        lo, hi = lows[k], highs[k]
+        reach.append([s + max(lo * r, hi * r)
+                      for s, r in zip(reach[-1], rows[k])])
+    reach.reverse()
+    threshold = 1 if strict else 0
+
+    def interval(t, k):
+        # values x of coordinate k with t_i + x * r_i + reach >= threshold
+        lo, hi = lows[k], highs[k]
+        for ti, r, rest in zip(t, rows[k], reach[k + 1]):
+            need = threshold - ti - rest
+            if r > 0:
+                lo = max(lo, -(-need // r))
+            elif r < 0:
+                hi = min(hi, need // r)
+            elif need > 0:
+                return 1, 0
+        return lo, hi
+
+    last = d - 1
+
+    def walk(t, k):
+        lo, hi = interval(t, k)
+        if k == last:
+            return max(0, hi - lo + 1)
+        row = rows[k]
+        t = [ti + lo * r for ti, r in zip(t, row)]
+        total = 0
+        for _ in range(lo, hi + 1):
+            total += walk(t, k + 1)
+            t = [ti + r for ti, r in zip(t, row)]
+        return total
+
+    return walk([n * r for r in rows[d]], 0)

@@ -4,6 +4,8 @@ Every subcommand reads and writes JSON with a fixed key order and no
 timestamps, so outputs are byte-identical across runs.  ``-`` stands for
 stdin or stdout wherever a group or simplex argument is taken.  Exit codes:
 0 success, 1 domain error (with an error JSON on stdout), 2 usage error.
+Malformed input files and out-of-range arguments are domain errors with
+the code ``invalid-input``.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ import json
 import sys
 
 from . import cayley, classify, codes, geometry, groups
-from .errors import LatSimplexError
+from .errors import InvalidInput, LatSimplexError
 from .residues import ResidueVector
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.loads(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInput(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _emit(obj) -> None:
@@ -35,15 +40,17 @@ def _emit_text(text: str) -> None:
 
 
 def _group_from_json(obj, max_order: int) -> groups.LambdaGroup:
-    e = int(obj["e"])
-    den = int(obj["den"])
-    gens = []
-    for nums in obj["generators"]:
-        if len(nums) != e:
-            raise LatSimplexError("generator length does not match e")
-        gens.append(ResidueVector(den, nums))
-    if not gens:
-        gens = [ResidueVector(den, (0,) * e)]
+    try:
+        e = int(obj["e"])
+        den = int(obj["den"])
+        gens = [ResidueVector(den, nums) for nums in obj["generators"]]
+        if not gens:
+            gens = [ResidueVector(den, (0,) * e)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(
+            f"malformed group JSON: {type(exc).__name__}: {exc}") from exc
+    if any(g.e != e for g in gens):
+        raise InvalidInput("generator length does not match e")
     return groups.close(gens, max_order=max_order)
 
 
@@ -124,7 +131,14 @@ def cmd_realize(args) -> int:
 
 
 def cmd_ehrhart(args) -> int:
-    simplex = geometry.LatticeSimplex.from_json(_read_json(args.simplex))
+    if args.max_n < 0:
+        raise InvalidInput("--max-n must be nonnegative")
+    obj = _read_json(args.simplex)
+    try:
+        simplex = geometry.LatticeSimplex.from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(
+            f"malformed simplex JSON: {type(exc).__name__}: {exc}") from exc
     table = geometry.ehrhart_table(simplex, args.max_n,
                                    max_d=args.count_max_d,
                                    budget_max_n=max(args.count_max_n,
@@ -332,9 +346,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as exc:
+        # the library's own argument checks, e.g. code --r 1
+        error = InvalidInput(str(exc))
     except LatSimplexError as exc:
-        _emit({"error": exc.code, "message": str(exc)})
-        return 1
+        error = exc
+    _emit({"error": error.code, "message": str(error)})
+    return 1
 
 
 if __name__ == "__main__":

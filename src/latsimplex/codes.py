@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import groups
 from .errors import DimensionMismatch, GroupTooLarge, HypothesesNotMet
 from .groups import DEFAULT_MAX_ORDER, LambdaGroup, close, direct_sum
 from .residues import ResidueVector
-
-MAX_CODE_DIMENSION = 20
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,19 @@ def support_matrix(rows) -> BinaryMatrix:
 
 def simplex_code_group(r: int,
                        max_order: int = DEFAULT_MAX_ORDER) -> LambdaGroup:
-    """Group generated by the half-entry rows; order 2^r, all weights equal."""
+    """Group generated by the half-entry rows; order 2^r, all weights equal.
+
+    Raises GroupTooLarge before building anything when the 2^r x (2^r - 1)
+    element table would exceed ``groups.MAX_TABLE_CELLS``.
+    """
     if r < 2:
         raise ValueError("r must be at least 2")
-    if r > MAX_CODE_DIMENSION:
-        raise GroupTooLarge(f"r is capped at {MAX_CODE_DIMENSION}")
+    budget = groups.MAX_TABLE_CELLS
+    # 2^r alone exceeds the budget from r = bit_length on; this keeps a huge
+    # r from building a huge integer
+    if r >= budget.bit_length() or (1 << r) * ((1 << r) - 1) > budget:
+        raise GroupTooLarge(f"the code group for r = {r} exceeds the budget "
+                            f"of {budget} table cells")
     return close(half_matrix(r), max_order=max_order)
 
 

@@ -9,6 +9,12 @@ class LatSimplexError(Exception):
     code = "error"
 
 
+class InvalidInput(LatSimplexError):
+    """Malformed input or an out-of-range argument, rejected before any work."""
+
+    code = "invalid-input"
+
+
 class DimensionMismatch(LatSimplexError):
     code = "dimension-mismatch"
 

@@ -3,7 +3,7 @@
 ``realize_vertices`` turns an integer-sum group into a concrete lattice
 simplex by expressing the unit vectors in a basis of the overlattice the
 group defines, flattening the common affine hyperplane onto Z^d, and skew
-reducing the coordinates so brute-force point counting stays within budget.
+reducing the coordinates so box point counting stays within budget.
 ``lambda_from_vertices`` inverts the construction from the bordered vertex
 matrix.  All arithmetic is exact; matrices here are tiny, so the normal
 forms use plain integer eliminations with no modular tricks.
@@ -425,8 +425,11 @@ def count_lattice_points(simplex: LatticeSimplex, n: int,
                          strict: bool = False) -> int:
     """Exact number of integer points in n * simplex (boundary included).
 
-    ``strict`` counts interior points instead.  Enumerates the bounding box
-    and tests sign patterns of the integral barycentric coordinates.
+    ``strict`` counts interior points instead.  Walks the bounding box of
+    the dilation coordinate by coordinate, keeping only the values for which
+    every integral barycentric coordinate can still end up nonnegative
+    (positive when ``strict``), and counts the last coordinate as an integer
+    interval; see ``_kernels.count_box_points``.
     """
     if n < 0:
         raise ValueError("dilation must be nonnegative")

@@ -25,6 +25,11 @@ from .errors import (
 from .residues import ResidueVector
 
 DEFAULT_MAX_ORDER = 1 << 20
+# Memory budget for one element table, counted in cells (order times e) and
+# checked before the table is built.  2^24 cells are 128 MiB of tuple slots
+# and admit the code groups up to r = 12 (2^12 elements on 2^12 - 1
+# coordinates).
+MAX_TABLE_CELLS = 1 << 24
 DEFAULT_CANONICAL_BUDGET = 2_000_000
 
 
@@ -183,7 +188,8 @@ def close(generators, max_order: int = DEFAULT_MAX_ORDER) -> LambdaGroup:
     """Smallest addition-closed subgroup containing ``generators`` and zero.
 
     Generators with different denominators are rescaled to their lcm here,
-    once and explicitly.  Raises GroupTooLarge past ``max_order`` elements.
+    once and explicitly.  Raises GroupTooLarge past ``max_order`` elements
+    or past ``MAX_TABLE_CELLS`` table cells.
     """
     gens = list(generators)
     if not gens:
@@ -196,9 +202,11 @@ def close(generators, max_order: int = DEFAULT_MAX_ORDER) -> LambdaGroup:
     for g in gens:
         den = lcm(den, g.den)
     gen_nums = [g.rescale(den).nums for g in gens]
-    status, elements = _kernels.closure_table(gen_nums, e, den, max_order)
+    cap = min(max_order, MAX_TABLE_CELLS // e)
+    status, elements = _kernels.closure_table(gen_nums, e, den, cap)
     if status == _kernels.STATUS_TOO_LARGE:
-        raise GroupTooLarge(f"closure exceeds {max_order} elements")
+        raise GroupTooLarge(f"closure exceeds {cap} elements (order cap "
+                            f"{max_order}, {MAX_TABLE_CELLS} table cells)")
     return _build(e, den, gen_nums, elements)
 
 
@@ -363,6 +371,9 @@ def direct_sum(G1: LambdaGroup, G2: LambdaGroup,
     """Block sum on disjoint coordinates; order multiplies, heights add."""
     if G1.order * G2.order > max_order:
         raise GroupTooLarge("direct sum exceeds the order cap")
+    if G1.order * G2.order * (G1.e + G2.e) > MAX_TABLE_CELLS:
+        raise GroupTooLarge(
+            f"direct sum exceeds the budget of {MAX_TABLE_CELLS} table cells")
     den = lcm(G1.den, G2.den)
     k1 = den // G1.den
     k2 = den // G2.den

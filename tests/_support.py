@@ -100,3 +100,50 @@ def is_null_all_elements(G: LambdaGroup, block) -> bool:
     """Nullity tested against every group element, not just generators."""
     den = G.den
     return all(sum(el[i - 1] for i in block) % den == 0 for el in G.elements)
+
+
+def box_scan_count(adj, det_sign, lows, highs, n, strict=False):
+    """Slow oracle for ``_kernels.count_box_points``: visit every box point.
+
+    Same arguments and result; each point of the box is tested on its own,
+    with no pruning, by the sign of ``det_sign * (p, n) @ adj``.
+    """
+    d = len(lows)
+    m = d + 1
+    rows = [tuple(det_sign * x for x in row) for row in adj]
+    if d == 0:
+        return 1
+    for j in range(d):
+        if lows[j] > highs[j]:
+            return 0
+    # t holds det_sign * (p, n) @ adj for the current point p.
+    t = [n * rows[d][i] for i in range(m)]
+    for j in range(d):
+        lj = lows[j]
+        for i in range(m):
+            t[i] += lj * rows[j][i]
+    pos = list(lows)
+    count = 0
+    while True:
+        if strict:
+            ok = all(x > 0 for x in t)
+        else:
+            ok = all(x >= 0 for x in t)
+        if ok:
+            count += 1
+        k = 0
+        while k < d:
+            if pos[k] < highs[k]:
+                pos[k] += 1
+                rk = rows[k]
+                for i in range(m):
+                    t[i] += rk[i]
+                break
+            span = highs[k] - lows[k]
+            pos[k] = lows[k]
+            rk = rows[k]
+            for i in range(m):
+                t[i] -= span * rk[i]
+            k += 1
+        else:
+            return count

@@ -132,13 +132,52 @@ def test_outputs_are_byte_identical(capsys):
     assert r1 == r2
 
 
+# (case, expected error code, file contents or None, argv with {path})
+DOMAIN_ERROR_CASES = [
+    ("non-integral heights", "non-integral-heights",
+     json.dumps({"e": 3, "den": 2, "generators": [[1, 0, 0]]}),
+     ["analyze", "{path}"]),
+    ("malformed JSON", "invalid-input", '{"e": 3, "den": 2, ',
+     ["analyze", "{path}"]),
+    ("missing generators", "invalid-input", json.dumps({"e": 3, "den": 2}),
+     ["analyze", "{path}"]),
+    ("numerator >= den", "invalid-input",
+     json.dumps({"e": 3, "den": 2, "generators": [[2, 0, 0]]}),
+     ["analyze", "{path}"]),
+    ("den 0", "invalid-input",
+     json.dumps({"e": 3, "den": 0, "generators": [[0, 0, 0]]}),
+     ["analyze", "{path}"]),
+    ("generator length", "invalid-input",
+     json.dumps({"e": 3, "den": 2, "generators": [[1, 1]]}),
+     ["analyze", "{path}"]),
+    ("missing file", "invalid-input", None, ["analyze", "{path}"]),
+    ("wrong vertex count", "invalid-input",
+     json.dumps({"d": 2, "vertices": [[0, 0], [1, 0]]}),
+     ["ehrhart", "{path}", "--max-n", "2"]),
+    ("negative max-n", "invalid-input",
+     json.dumps({"d": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}),
+     ["ehrhart", "{path}", "--max-n", "-1"]),
+    ("code r 1", "invalid-input", None, ["code", "--r", "1"]),
+    ("classify e 0", "invalid-input", None,
+     ["classify", "--e", "0", "--degree", "1", "--max-den", "2",
+      "--max-gen", "1"]),
+    ("verify main1 r 2", "invalid-input", None,
+     ["verify", "--suite", "main1", "--r", "2"]),
+]
+
+
 def test_domain_error_json_and_exit_code(capsys, tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"e": 3, "den": 2, "generators": [[1, 0, 0]]}))
-    code, obj = run_json(capsys, "analyze", str(path))
-    assert code == 1
-    assert obj["error"] == "non-integral-heights"
-    assert obj["message"]
+    # one test over a case table, so the test keeps its single name
+    for i, (case, error, contents, argv) in enumerate(DOMAIN_ERROR_CASES):
+        path = tmp_path / f"case{i}.json"
+        if contents is not None:
+            path.write_text(contents)
+        code, out = run_cli(capsys, *[a.format(path=path) for a in argv])
+        assert code == 1, case
+        obj = json.loads(out)
+        assert list(obj) == ["error", "message"], case
+        assert obj["error"] == error, case
+        assert obj["message"], case
 
 
 def test_solver_cap_error_is_machine_readable(capsys, tmp_path):

@@ -18,7 +18,8 @@ from latsimplex import (
     support_matrix,
     support_rigidity_check,
 )
-from latsimplex.errors import HypothesesNotMet
+from latsimplex import codes, groups
+from latsimplex.errors import GroupTooLarge, HypothesesNotMet
 from latsimplex.groups import f
 
 
@@ -66,6 +67,20 @@ def test_code_group_invariants():
 def test_code_group_argument_checks():
     with pytest.raises(ValueError):
         simplex_code_group(1)
+
+
+def test_code_group_cell_budget_is_checked_before_closure(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 500)
+
+    def not_past_the_budget(*args, **kwargs):
+        raise AssertionError("work started past the cell budget")
+
+    with monkeypatch.context() as m:
+        m.setattr(codes, "half_matrix", not_past_the_budget)
+        m.setattr(codes, "close", not_past_the_budget)
+        with pytest.raises(GroupTooLarge):
+            simplex_code_group(5)  # 32 x 31 cells
+    assert simplex_code_group(4).order == 16  # 16 x 15 cells
 
 
 def test_rigidity_on_half_matrices():

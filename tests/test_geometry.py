@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from _support import random_integer_sum_group
+from _support import box_scan_count, random_integer_sum_group
 from latsimplex import (
     LatticeSimplex,
     canonical_form,
@@ -22,12 +22,14 @@ from latsimplex import (
     smith_normal_form,
     trivial_group,
 )
+from latsimplex._kernels import count_box_points
 from latsimplex.errors import (
     BudgetExceeded,
     DegenerateSimplex,
     InconsistentCounts,
     NonIntegralHeights,
 )
+from latsimplex.geometry import _adjugate, _det
 
 CONV_220 = LatticeSimplex(2, ((0, 0), (2, 0), (0, 2)))
 
@@ -212,6 +214,49 @@ def test_oracle_equivalence_random_groups():
         counts = [count_lattice_points(simplex, n)
                   for n in range(simplex.d + 1)]
         assert h_star_from_counts(counts, simplex.d) == h_star(G)
+
+
+def _adjugate_and_sign(simplex):
+    bordered = simplex.bordered()
+    det = _det(bordered)
+    return _adjugate(bordered, det), 1 if det > 0 else -1
+
+
+def test_pruned_count_matches_box_scan():
+    # every A6 target, one dilation past what A6 counts, closed and strict
+    targets = [simplex_code_group(2), simplex_code_group(3),
+               counterexample_simplex(2)]
+    rng = random.Random(103)
+    targets += [random_integer_sum_group(rng, e_max=6, den_max=6,
+                                         max_order=48)
+                for _ in range(200)]
+    for G in targets:
+        simplex = realize_vertices(G)
+        verts = simplex.vertices
+        for n in range(simplex.d + 2):
+            lows = [n * min(v[j] for v in verts) for j in range(simplex.d)]
+            highs = [n * max(v[j] for v in verts) for j in range(simplex.d)]
+            args = (*_adjugate_and_sign(simplex), lows, highs)
+            for strict in (False, True):
+                assert count_box_points(*args, n, strict) == \
+                    box_scan_count(*args, n, strict)
+    # boxes that cut the dilation, miss it or are empty
+    rng = random.Random(41)
+    checked = 0
+    while checked < 100:
+        d = rng.randint(1, 4)
+        verts = tuple(tuple(rng.randint(-3, 3) for _ in range(d))
+                      for _ in range(d + 1))
+        if _det([list(v) + [1] for v in verts]) == 0:
+            continue
+        lows = [rng.randint(-6, 4) for _ in range(d)]
+        highs = [lo + rng.randint(-1, 6) for lo in lows]
+        args = (*_adjugate_and_sign(LatticeSimplex(d, verts)), lows, highs)
+        n = rng.randint(0, 3)
+        strict = rng.random() < 0.5
+        assert count_box_points(*args, n, strict) == \
+            box_scan_count(*args, n, strict)
+        checked += 1
 
 
 def test_degree_via_interior_points():

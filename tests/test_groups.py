@@ -28,6 +28,7 @@ from latsimplex import (
     trivial_group,
     volume,
 )
+from latsimplex import _kernels, groups
 from latsimplex.errors import (
     DimensionMismatch,
     EmptySubset,
@@ -62,6 +63,35 @@ def test_close_rejects_mixed_lengths_and_huge_groups():
         close([ResidueVector(2, (1, 1)), ResidueVector(2, (1, 1, 0))])
     with pytest.raises(GroupTooLarge):
         close([ResidueVector(64, tuple([1] + [0] * 5))], max_order=32)
+
+
+def test_close_respects_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 100)
+    assert close(half_matrix(3)).order == 8  # 8 x 7 cells
+    with pytest.raises(GroupTooLarge):
+        close(half_matrix(4))  # 16 x 15 cells
+
+
+def test_extend_matches_full_closure():
+    rng = random.Random(79)
+    for _ in range(150):
+        e = rng.randint(1, 8)
+        den = rng.randint(1, 7)
+        k = rng.randint(1, 3)
+        gens = [tuple(rng.randrange(den) for _ in range(e)) for _ in range(k)]
+        st0, base = _kernels.closure_table(gens[:-1] or [(0,) * e],
+                                           e, den, 4096)
+        assert st0 == 0
+        st1, full = _kernels.closure_table(gens, e, den, 4096)
+        st2, ext = _kernels.extend_closure(base, gens[-1], e, den, 4096)
+        assert st1 == st2 == 0
+        assert full == ext
+
+
+def test_closure_table_large_denominator():
+    status, els = _kernels.closure_table([(300, 0)], 2, 600, 64)
+    assert status == _kernels.STATUS_OK
+    assert els == [(0, 0), (300, 0)]
 
 
 def test_h_star_examples():
@@ -308,6 +338,14 @@ def test_direct_sum_order_cap():
     B3 = simplex_code_group(3)
     with pytest.raises(GroupTooLarge):
         direct_sum(B3, B3, max_order=32)
+
+
+def test_direct_sum_cell_budget(monkeypatch):
+    B2, B3 = simplex_code_group(2), simplex_code_group(3)
+    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 100)
+    assert direct_sum(B2, B2).order == 16  # 16 x 6 cells
+    with pytest.raises(GroupTooLarge):
+        direct_sum(B3, B2)  # 32 x 10 cells
 
 
 def test_dimension_bounds_on_random_non_pyramids():
