@@ -1,9 +1,10 @@
 """The hot inner loops, in plain Python.
 
-Breadth-first closure of a generating set under coordinatewise addition
-mod 1, its one-row incremental form, and lattice-point counting over an
-integer box.  Tests compare the counter against a straight box scan kept
-in ``tests/_support.py``.
+Closure of a generating set under coordinatewise addition mod 1, built one
+generator at a time as a union of cosets, and lattice-point counting over an
+integer box.  A closure refused by its cap never stores more than ``cap``
+elements.  Tests compare the closure against a breadth-first search and the
+counter against a straight box scan, both kept in ``tests/_support.py``.
 """
 
 from __future__ import annotations
@@ -19,43 +20,20 @@ def active_backend() -> str:
     return "python"
 
 
-def closure_table(gens, e, den, cap, max_weight=-1, max_height_num=-1,
-                  require_integral=False):
-    """Close ``gens`` (numerator tuples mod ``den``) under addition.
+def closure_table(gens, e, den, cap):
+    """Close ``gens`` (numerator tuples, entries in [0, den)) under addition.
 
     Returns ``(status, elements)`` where ``elements`` is the sorted table of
-    all group elements (or None if a limit was violated).  Optional limits:
-    ``max_weight`` caps the support size of every element, ``max_height_num``
-    caps the numerator sum, and ``require_integral`` rejects any element
-    whose numerator sum is not divisible by ``den``.
+    all group elements, or None with ``STATUS_TOO_LARGE`` past ``cap``
+    elements.  The table is the fold of ``extend_closure`` over the
+    generators, starting from the trivial group.
     """
-    zero = (0,) * e
-    seen = {zero}
-    frontier = [zero]
-    gens = [tuple(g) for g in gens]
+    table = [(0,) * e]
     for g in gens:
-        if len(g) != e:
-            raise ValueError("generator length does not match e")
-    while frontier:
-        nxt = []
-        for base in frontier:
-            for g in gens:
-                s = tuple((a + b) % den for a, b in zip(base, g))
-                if s in seen:
-                    continue
-                total = sum(s)
-                if require_integral and total % den != 0:
-                    return STATUS_HEIGHT, None
-                if max_height_num >= 0 and total > max_height_num:
-                    return STATUS_HEIGHT, None
-                if max_weight >= 0 and e - s.count(0) > max_weight:
-                    return STATUS_WEIGHT, None
-                seen.add(s)
-                if len(seen) > cap:
-                    return STATUS_TOO_LARGE, None
-                nxt.append(s)
-        frontier = nxt
-    return STATUS_OK, sorted(seen)
+        status, table = extend_closure(table, g, e, den, cap)
+        if status != STATUS_OK:
+            return status, None
+    return STATUS_OK, table
 
 
 def extend_closure(prev, row, e, den, cap, max_weight=-1, max_height_num=-1,
@@ -64,35 +42,37 @@ def extend_closure(prev, row, e, den, cap, max_weight=-1, max_height_num=-1,
 
     The extension is the union of the cosets ``prev + t*row`` for
     t = 0..ord-1, so violations surface after a handful of additions.
-    Same status codes and limits as ``closure_table``.
+    ``max_weight`` caps every support size, ``max_height_num`` every
+    numerator sum, and ``require_integral`` rejects sums not divisible by
+    ``den``.  A coset that would pass ``cap`` is still scanned for those
+    violations, which take precedence, but never stored.
     """
     base = set(prev)
     row = tuple(row)
     if len(row) != e:
         raise ValueError("row length does not match e")
-    layers = []
+    limited = require_integral or max_height_num >= 0 or max_weight >= 0
+    out = list(prev)
     cur = row
-    total_new = 0
     while cur not in base:
-        layer = []
+        fits = len(out) + len(prev) <= cap
+        if not (fits or limited):
+            return STATUS_TOO_LARGE, None
         for h in prev:
             s = tuple((a + b) % den for a, b in zip(h, cur))
-            total = sum(s)
-            if require_integral and total % den != 0:
-                return STATUS_HEIGHT, None
-            if max_height_num >= 0 and total > max_height_num:
-                return STATUS_HEIGHT, None
-            if max_weight >= 0 and e - s.count(0) > max_weight:
-                return STATUS_WEIGHT, None
-            layer.append(s)
-        total_new += len(layer)
-        if len(prev) + total_new > cap:
+            if limited:
+                total = sum(s)
+                if require_integral and total % den != 0:
+                    return STATUS_HEIGHT, None
+                if max_height_num >= 0 and total > max_height_num:
+                    return STATUS_HEIGHT, None
+                if max_weight >= 0 and e - s.count(0) > max_weight:
+                    return STATUS_WEIGHT, None
+            if fits:
+                out.append(s)
+        if not fits:
             return STATUS_TOO_LARGE, None
-        layers.append(layer)
         cur = tuple((a + b) % den for a, b in zip(cur, row))
-    out = list(prev)
-    for layer in layers:
-        out.extend(layer)
     out.sort()
     return STATUS_OK, out
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .codes import half_matrix, projective_matrix
 from .errors import HypothesesNotMet, NonIntegralHeights, SolverCapExceeded
-from .groups import LambdaGroup, _mask_to_set, degree
+from .groups import (LambdaGroup, _coordinate_components, _mask_to_set,
+                     degree)
 
 DEFAULT_SOLVER_CAP = 24
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -261,25 +262,9 @@ def cayley_upper_bound_distinct_halves(G: LambdaGroup) -> int:
     if len(set(cols)) != len(cols):
         raise HypothesesNotMet("generator columns must be pairwise distinct")
 
-    parent = list(range(G.e))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in G.generators:
-        supp = [i for i, a in enumerate(g.nums) if a]
-        for i in supp[1:]:
-            ra, rb = find(supp[0]), find(i)
-            if ra != rb:
-                parent[rb] = ra
-    sizes: dict[int, int] = {}
-    for i in range(G.e):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sum(sz // 3 for sz in sizes.values())
+    supports = [[i for i, a in enumerate(g.nums) if a] for g in G.generators]
+    return sum(len(comp) // 3
+               for comp in _coordinate_components(G.e, supports))
 
 
 def _decomposition_blocks(m: int) -> list[list[int]]:

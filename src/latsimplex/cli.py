@@ -16,7 +16,7 @@ import sys
 
 from . import cayley, classify, codes, geometry, groups
 from .errors import InvalidInput, LatSimplexError
-from .residues import ResidueVector
+from .residues import ResidueVector, as_int, int_rows
 
 
 def _read_json(path: str):
@@ -41,9 +41,10 @@ def _emit_text(text: str) -> None:
 
 def _group_from_json(obj, max_order: int) -> groups.LambdaGroup:
     try:
-        e = int(obj["e"])
-        den = int(obj["den"])
-        gens = [ResidueVector(den, nums) for nums in obj["generators"]]
+        e = as_int(obj["e"])
+        den = as_int(obj["den"])
+        gens = [ResidueVector(den, nums)
+                for nums in int_rows(obj["generators"], "generators")]
         if not gens:
             gens = [ResidueVector(den, (0,) * e)]
     except (KeyError, TypeError, ValueError) as exc:
@@ -141,8 +142,7 @@ def cmd_ehrhart(args) -> int:
             f"malformed simplex JSON: {type(exc).__name__}: {exc}") from exc
     table = geometry.ehrhart_table(simplex, args.max_n,
                                    max_d=args.count_max_d,
-                                   budget_max_n=max(args.count_max_n,
-                                                    args.max_n))
+                                   budget_max_n=args.count_max_n)
     hstar = None
     if args.max_n >= simplex.d:
         hstar = geometry.h_star_from_counts(table, simplex.d).as_list()

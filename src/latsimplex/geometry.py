@@ -30,7 +30,7 @@ from .groups import (
     close,
     trivial_group,
 )
-from .residues import ResidueVector
+from .residues import ResidueVector, as_int, int_rows
 
 DEFAULT_MAX_COUNT_DIMENSION = 8
 DEFAULT_MAX_DILATION = 20
@@ -336,8 +336,8 @@ class LatticeSimplex:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LatticeSimplex":
-        return cls(int(obj["d"]),
-                   tuple(tuple(int(x) for x in v) for v in obj["vertices"]))
+        return cls(as_int(obj["d"]),
+                   tuple(int_rows(obj["vertices"], "vertices")))
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ from .residues import ResidueVector
 
 DEFAULT_MAX_ORDER = 1 << 20
 # Memory budget for one element table, counted in cells (order times e) and
-# checked before the table is built.  2^24 cells are 128 MiB of tuple slots
-# and admit the code groups up to r = 12 (2^12 elements on 2^12 - 1
+# checked before the table is built; a closure refused by it never stores
+# more than its cap of elements.  2^24 cells are 128 MiB of tuple slots and
+# admit the code groups up to r = 12 (2^12 elements on 2^12 - 1
 # coordinates).
 MAX_TABLE_CELLS = 1 << 24
 DEFAULT_CANONICAL_BUDGET = 2_000_000
@@ -388,6 +389,27 @@ def direct_sum(G1: LambdaGroup, G2: LambdaGroup,
     return _build(e, den, gen_nums, elements)
 
 
+def _coordinate_components(e: int, supports) -> list[list[int]]:
+    """Components of coordinates 0..e-1 linked by ``supports`` (0-based)."""
+    parent = list(range(e))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for supp in supports:
+        for i in supp[1:]:
+            ra, rb = find(supp[0]), find(i)
+            if ra != rb:
+                parent[rb] = ra
+    comps: dict[int, list[int]] = {}
+    for i in range(e):
+        comps.setdefault(find(i), []).append(i)
+    return list(comps.values())
+
+
 def canonical_form(G: LambdaGroup,
                    node_budget: int = DEFAULT_CANONICAL_BUDGET) -> CanonicalForm:
     """Canonical element table under coordinate permutations.
@@ -402,13 +424,6 @@ def canonical_form(G: LambdaGroup,
     e = G.e
     den = G.den
     elements = G.elements
-    parent = list(range(e))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     def decomposable(x):
         for y in elements:
@@ -418,23 +433,18 @@ def canonical_form(G: LambdaGroup,
                 return True
         return False
 
+    supports = []
     for el in elements:
         supp = [i for i, a in enumerate(el) if a]
-        if len(supp) <= 1 or decomposable(el):
-            continue
-        for i in supp[1:]:
-            ra, rb = find(supp[0]), find(i)
-            if ra != rb:
-                parent[rb] = ra
-    comps: dict[int, list[int]] = {}
-    for i in range(e):
-        comps.setdefault(find(i), []).append(i)
+        if len(supp) > 1 and not decomposable(el):
+            supports.append(supp)
+    comps = _coordinate_components(e, supports)
     if len(comps) == 1:
         return CanonicalForm(e=e, den=den,
                              table=_canonical_table(G.elements, e, node_budget))
 
     keyed = []
-    for coords in comps.values():
+    for coords in comps:
         sub = sorted({tuple(el[c] for c in coords) for el in G.elements})
         keyed.append((len(coords),
                       _canonical_table(tuple(sub), len(coords), node_budget)))

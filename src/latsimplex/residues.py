@@ -13,8 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 from .errors import DenominatorMismatch, DimensionMismatch
+
+
+def as_int(value) -> int:
+    """``value`` as an int; a float (even 2.0), str or bool is a TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return index(value)
+
+
+def int_rows(value, name: str) -> list[tuple[int, ...]]:
+    """A JSON list of integer lists as tuples; anything else is a TypeError."""
+    if not (isinstance(value, list)
+            and all(isinstance(row, list) for row in value)):
+        raise TypeError(f"{name} must be a list of integer lists")
+    return [tuple(map(as_int, row)) for row in value]
 
 
 @dataclass(frozen=True)
@@ -40,10 +56,10 @@ class ResidueVector:
     __slots__ = ("e", "den", "nums")
 
     def __init__(self, den: int, nums) -> None:
-        den = int(den)
+        den = as_int(den)
         if den <= 0:
             raise ValueError("denominator must be positive")
-        nums = tuple(int(x) for x in nums)
+        nums = tuple(map(as_int, nums))
         if not nums:
             raise ValueError("vector needs at least one coordinate")
         for x in nums:

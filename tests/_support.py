@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from latsimplex import ResidueVector, close, is_lattice_pyramid
+from latsimplex._kernels import STATUS_OK, STATUS_TOO_LARGE
 from latsimplex.errors import GroupTooLarge
 from latsimplex.groups import LambdaGroup, degree
 
@@ -100,6 +101,35 @@ def is_null_all_elements(G: LambdaGroup, block) -> bool:
     """Nullity tested against every group element, not just generators."""
     den = G.den
     return all(sum(el[i - 1] for i in block) % den == 0 for el in G.elements)
+
+
+def bfs_closure(gens, e, den, cap):
+    """Slow oracle for ``_kernels.closure_table``: breadth-first search.
+
+    Same arguments and result.  Sums of a reached element and a generator
+    are added level by level until nothing new appears; more than ``cap``
+    elements give ``(STATUS_TOO_LARGE, None)``.
+    """
+    zero = (0,) * e
+    seen = {zero}
+    frontier = [zero]
+    gens = [tuple(g) for g in gens]
+    for g in gens:
+        if len(g) != e:
+            raise ValueError("generator length does not match e")
+    while frontier:
+        nxt = []
+        for base in frontier:
+            for g in gens:
+                s = tuple((a + b) % den for a, b in zip(base, g))
+                if s in seen:
+                    continue
+                seen.add(s)
+                if len(seen) > cap:
+                    return STATUS_TOO_LARGE, None
+                nxt.append(s)
+        frontier = nxt
+    return STATUS_OK, sorted(seen)
 
 
 def box_scan_count(adj, det_sign, lows, highs, n, strict=False):

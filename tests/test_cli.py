@@ -1,8 +1,13 @@
 """CLI subcommands: schemas, pipelines, determinism and exit codes."""
 
+import io
 import json
+from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsimplex import cli
 
@@ -103,6 +108,11 @@ def test_realize_and_ehrhart_pipeline(capsys, tmp_path):
     assert code == 0
     assert obj["counts"][0] == 1
     assert obj["hstar"] == [1, 3]
+    code, obj = run_json(capsys, "ehrhart", str(spath), "--max-n", "21",
+                         "--count-max-n", "21")
+    assert code == 0
+    assert len(obj["counts"]) == 22
+    assert obj["hstar"] == [1, 3]
 
 
 def test_classify_subcommand(capsys):
@@ -163,6 +173,24 @@ DOMAIN_ERROR_CASES = [
       "--max-gen", "1"]),
     ("verify main1 r 2", "invalid-input", None,
      ["verify", "--suite", "main1", "--r", "2"]),
+    ("float den and entry", "invalid-input",
+     json.dumps({"e": 3, "den": 2.9, "generators": [[1, 1, 0.5]]}),
+     ["analyze", "{path}"]),
+    ("integral float den", "invalid-input",
+     json.dumps({"e": 3, "den": 2.0, "generators": [[1, 1, 0]]}),
+     ["analyze", "{path}"]),
+    ("boolean den", "invalid-input",
+     json.dumps({"e": 3, "den": True, "generators": [[0, 0, 0]]}),
+     ["analyze", "{path}"]),
+    ("string den", "invalid-input",
+     json.dumps({"e": 3, "den": "2", "generators": [[1, 1, 0]]}),
+     ["analyze", "{path}"]),
+    ("float vertex coordinate", "invalid-input",
+     json.dumps({"d": 2, "vertices": [[0, 0], [1.7, 0], [0, 1]]}),
+     ["ehrhart", "{path}", "--max-n", "2"]),
+    ("dilation past the count budget", "budget-exceeded",
+     json.dumps({"d": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}),
+     ["ehrhart", "{path}", "--max-n", "21"]),
 ]
 
 
@@ -178,6 +206,82 @@ def test_domain_error_json_and_exit_code(capsys, tmp_path):
         assert list(obj) == ["error", "message"], case
         assert obj["error"] == error, case
         assert obj["message"], case
+
+
+# any JSON value, kept small: numbers, strings, lists and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner,
+                                     max_size=3)),
+    max_leaves=6)
+NON_INTEGERS = JSON_VALUES.filter(lambda v: type(v) is not int)
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv, document, whether an integer field holds a non-integer).
+
+    A valid group (integral rows) or simplex (upper triangular, so never
+    degenerate) document, then at most one change: an integer field (e,
+    den, an entry, d or a coordinate) becomes a non-integer, or a key or
+    the whole document becomes any JSON value.
+    """
+    if draw(st.booleans()):
+        e = draw(st.integers(1, 6))
+        den = draw(st.integers(1, 8))
+        rows = draw(st.lists(st.lists(st.integers(0, den - 1), min_size=e,
+                                      max_size=e), max_size=3))
+        for row in rows:
+            row[-1] = -sum(row[:-1]) % den
+        doc = {"e": e, "den": den, "generators": rows}
+        command = draw(st.sampled_from(["analyze", "cayley", "realize"]))
+        argv = [command, "-", "--max-order", "64"]
+        rows_key, scalar_key = "generators", "e"
+    else:
+        d = draw(st.integers(0, 3))
+        vertices = [[0] * d]
+        for i in range(d):
+            vertices.append([0] * i + [draw(st.integers(1, 3))]
+                            + draw(st.lists(st.integers(-2, 2),
+                                            min_size=d - i - 1,
+                                            max_size=d - i - 1)))
+        doc = {"d": d, "vertices": vertices}
+        argv = ["ehrhart", "-", "--max-n", str(draw(st.integers(-1, 3)))]
+        rows_key, scalar_key = "vertices", "d"
+    change = draw(st.sampled_from(["none", "integer", "any"]))
+    if change == "integer":
+        fields = [(doc, key) for key in doc if key != rows_key]
+        fields += [(row, j) for row in doc[rows_key]
+                   for j in range(len(row))]
+        target, key = draw(st.sampled_from(fields))
+        target[key] = draw(NON_INTEGERS)
+        return argv, doc, True
+    if change == "any":
+        key = draw(st.sampled_from([None, scalar_key, rows_key]))
+        value = draw(JSON_VALUES)
+        if key is None:
+            doc = value
+        else:
+            doc[key] = value
+    return argv, doc, False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_inputs())
+def test_cli_survives_arbitrary_json(case):
+    argv, doc, non_integer = case
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+            redirect_stdout(out):
+        code = cli.main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        obj = json.loads(out.getvalue())
+        assert list(obj) == ["error", "message"]
+        assert obj["error"] and obj["message"]
+    assert not (non_integer and code == 0)
 
 
 def test_solver_cap_error_is_machine_readable(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from _support import (
     all_greedy_cover_size_sequences,
+    bfs_closure,
     random_integer_sum_group,
     random_non_pyramid_group,
 )
@@ -74,13 +75,17 @@ def test_close_respects_the_cell_budget(monkeypatch):
 
 def test_extend_matches_full_closure():
     rng = random.Random(79)
-    for _ in range(150):
+    for _ in range(1000):
         e = rng.randint(1, 8)
         den = rng.randint(1, 7)
-        k = rng.randint(1, 3)
+        k = rng.randint(0, 4)
         gens = [tuple(rng.randrange(den) for _ in range(e)) for _ in range(k)]
-        st0, base = _kernels.closure_table(gens[:-1] or [(0,) * e],
-                                           e, den, 4096)
+        for cap in (0, 1, 2, 3, 5, 8, 13, 4096):
+            assert (_kernels.closure_table(gens, e, den, cap)
+                    == bfs_closure(gens, e, den, cap)), (gens, e, den, cap)
+        if not gens:
+            continue
+        st0, base = _kernels.closure_table(gens[:-1], e, den, 4096)
         assert st0 == 0
         st1, full = _kernels.closure_table(gens, e, den, 4096)
         st2, ext = _kernels.extend_closure(base, gens[-1], e, den, 4096)
