@@ -11,8 +11,6 @@ from __future__ import annotations
 
 STATUS_OK = 0
 STATUS_TOO_LARGE = 1
-STATUS_WEIGHT = 2
-STATUS_HEIGHT = 3
 
 
 def active_backend() -> str:
@@ -36,42 +34,23 @@ def closure_table(gens, e, den, cap):
     return STATUS_OK, table
 
 
-def extend_closure(prev, row, e, den, cap, max_weight=-1, max_height_num=-1,
-                   require_integral=False):
+def extend_closure(prev, row, e, den, cap):
     """Close ``prev`` (an already closed, sorted group table) with one row.
 
     The extension is the union of the cosets ``prev + t*row`` for
-    t = 0..ord-1, so violations surface after a handful of additions.
-    ``max_weight`` caps every support size, ``max_height_num`` every
-    numerator sum, and ``require_integral`` rejects sums not divisible by
-    ``den``.  A coset that would pass ``cap`` is still scanned for those
-    violations, which take precedence, but never stored.
+    t = 0..ord-1.  A coset that would take the table past ``cap`` is never
+    built: the result is then ``(STATUS_TOO_LARGE, None)``.
     """
     base = set(prev)
     row = tuple(row)
     if len(row) != e:
         raise ValueError("row length does not match e")
-    limited = require_integral or max_height_num >= 0 or max_weight >= 0
     out = list(prev)
     cur = row
     while cur not in base:
-        fits = len(out) + len(prev) <= cap
-        if not (fits or limited):
+        if len(out) + len(prev) > cap:
             return STATUS_TOO_LARGE, None
-        for h in prev:
-            s = tuple((a + b) % den for a, b in zip(h, cur))
-            if limited:
-                total = sum(s)
-                if require_integral and total % den != 0:
-                    return STATUS_HEIGHT, None
-                if max_height_num >= 0 and total > max_height_num:
-                    return STATUS_HEIGHT, None
-                if max_weight >= 0 and e - s.count(0) > max_weight:
-                    return STATUS_WEIGHT, None
-            if fits:
-                out.append(s)
-        if not fits:
-            return STATUS_TOO_LARGE, None
+        out.extend(tuple((a + b) % den for a, b in zip(h, cur)) for h in prev)
         cur = tuple((a + b) % den for a, b in zip(cur, row))
     out.sort()
     return STATUS_OK, out

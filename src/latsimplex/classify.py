@@ -1,16 +1,16 @@
 """Bounded exhaustive searches over integer-sum residue groups.
 
-The enumeration walks generator matrices that are doubly sorted (rows
-strictly increasing, columns nondecreasing), which visits every group at
-least once per coordinate-permutation class; canonical forms deduplicate the
-results.  Denominators are unbounded in principle, so every report carries
-its budget and is a bounded verification, never a proof.
+The enumeration adds generator rows one at a time, each nondecreasing
+within the column classes of the rows before it, which visits every group
+at least once per coordinate-permutation class.  States are deduplicated by
+their element table and the generators spent; canonical forms deduplicate
+the results.  Denominators are unbounded in principle, so every report
+carries its budget and is a bounded verification, never a proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from . import _kernels
 from .codes import simplex_code_group
@@ -86,7 +86,6 @@ class ClassificationReport:
 def enumerate_groups(budget: SearchBudget, s: int,
                      require_full_support: bool = False,
                      require_non_pyramid: bool = True,
-                     prune: bool = True,
                      node_budget: int = DEFAULT_NODE_BUDGET
                      ) -> ClassificationReport:
     """All integer-sum groups of degree s within the budget, canonicalized.
@@ -96,17 +95,19 @@ def enumerate_groups(budget: SearchBudget, s: int,
     current generator matrix (any extension can be brought to that shape by
     a permutation fixing the walked prefix, so this meets every group up to
     coordinate permutation), and closure states are deduplicated by their
-    exact element table together with the number of generators spent.  With
-    ``prune`` on, a partial closure dies as soon as it violates the weight
-    bound (wt <= 2s), exceeds height s or produces a non-integral
-    coordinate sum (all inherited by supergroups); rows are also
-    pre-screened against their sums with earlier generators, and untouched
-    coordinates must stay reachable whenever full support is eventually
-    required.
+    exact element table together with the number of generators spent.
+    An element of weight above 2s or height above s stays in every
+    supergroup, so a row y is emitted only when its whole extension <H, y>
+    of the current group H has neither; only the order cap is left to the
+    closure.  Untouched coordinates must stay reachable whenever full
+    support is eventually required.  ``node_budget`` bounds the number of
+    rows closed.
     """
+    if s < 0:
+        raise ValueError("degree must be nonnegative")
     e, D = budget.e, budget.max_denominator
-    max_w = 2 * s if prune else -1
-    max_h = s * D if prune else -1
+    max_w = 2 * s
+    max_h = s * D
     counters = {"closuresExamined": 0, "prunedByWeight": 0,
                 "prunedByDegree": 0, "prunedByOrder": 0,
                 "prunedBySupport": 0, "dedupedStates": 0}
@@ -116,6 +117,17 @@ def enumerate_groups(budget: SearchBudget, s: int,
     full_mask = (1 << e) - 1
     need_full = require_full_support or (require_non_pyramid and e > 1)
     nodes = 0
+    # Each probe t*y + h keeps its weight and its height in two biased
+    # fields of ``width`` bits; a field's top bit is set once its partial
+    # sum passes its cap, and no field can overflow into the next before
+    # that is seen.
+    width = (max(max_w, max_h) + D).bit_length() + 1
+    pair = 2 * width
+    half = 1 << (width - 1)
+    top_pair = half | (half << width)
+    bias_pair = (half - 1 - max_w) | ((half - 1 - max_h) << width)
+    # what a coordinate of value x adds to one probe's (weight, height)
+    fields = [(x != 0) | (x << width) for x in range(D)]
 
     def make_report(complete: bool) -> ClassificationReport:
         forms = sorted(found.values(), key=lambda fg: (fg[0].den, fg[0].table))
@@ -142,87 +154,65 @@ def enumerate_groups(budget: SearchBudget, s: int,
         classes.append((start, e - start))
         return classes
 
-    def candidate_rows(rows_sel, classes, forced_mask):
-        """Nonzero rows nondecreasing within the prefix column classes.
+    def candidate_rows(elements, classes, forced_mask):
+        """Rows y nondecreasing within ``classes`` with <H, y> admissible.
 
-        ``forced_mask`` marks coordinates the row must cover (the untouched
-        class, once this is the only generator that can still reach them).
-        Partial sums of the row and of row + earlier generator are pruned
-        against the weight and height caps while the classes are filled; the
-        per-class increments are tabulated up front so the walk over combos
-        costs O(generators) per step.
+        H is ``elements``; its extension is the union of t*y + H for
+        t = 1..D-1.  Every h in H is constant on each column class, so the
+        probe t*y + h gains a fixed weight and height from each coordinate
+        value: ``table[a]`` of coordinate j adds those of value a at j to
+        every probe's fields at once.  The walk fills coordinates left to
+        right and drops a prefix as soon as a field passes its cap.
+        ``forced_mask`` marks coordinates that must be nonzero; the last
+        coordinate is fixed by integrality and not scanned.
         """
-        k = len(rows_sel)
-        per_class = []
+        n = len(elements)
+        block = n * pair
+        spread = ((1 << (block * (D - 1))) - 1) // ((1 << pair) - 1)
+        top = spread * top_pair
+        units = [1 << (pair * i) for i in range(n)]
+        coords = []
         for start, length in classes:
+            by_value = [0] * D
+            for u, h in zip(units, elements):
+                by_value[h[start]] |= u
+            shifted = [sum(m * fields[(v + q) % D]
+                           for v, m in enumerate(by_value) if m)
+                       for q in range(D)]
+            table = [sum(shifted[t * a % D] << (block * (t - 1))
+                         for t in range(1, D))
+                     for a in range(D)]
             lo = 1 if (forced_mask >> start) & 1 else 0
-            segs = [g[start:start + length] for g in rows_sel]
-            combos = []
-            for combo in combinations_with_replacement(range(lo, D), length):
-                w = length - combo.count(0)
-                tot = sum(combo)
-                if prune and (w > max_w or tot > max_h):
-                    continue
-                deltas = []
-                ok = True
-                for seg in segs:
-                    dw = 0
-                    dh = 0
-                    for a, v in zip(seg, combo):
-                        sv = (a + v) % D
-                        if sv:
-                            dw += 1
-                            dh += sv
-                    if prune and (dw > max_w or dh > max_h):
-                        ok = False
-                        break
-                    deltas.append((dw, dh))
-                if ok:
-                    combos.append((combo, w, tot, deltas))
-            per_class.append((start, combos))
+            coords.append((table, lo))
+            coords.extend((table, -1) for _ in range(length - 1))
 
         out = []
         row = [0] * e
-        pair_w = [0] * k
-        pair_h = [0] * k
-        gen_range = range(k)
-        last = len(per_class)
+        last = e - 1
 
-        def rec(ci, weight, total):
-            if ci == last:
-                if weight and (not prune or total % D == 0):
+        def rec(j, acc, total, prev):
+            table, lo = coords[j]
+            low = prev if lo < 0 else lo
+            if j == last:
+                # the last entry breaks no cap: a probe's sum is a multiple
+                # of D, so it stays within sD; and z = t*y + h can pass
+                # weight 2s only if its prefix weight is 2s, when the prefix
+                # heights of z and of the probe -z, which add up to 2sD, are
+                # both sD, so that z's last entry is 0
+                a = -total % D
+                if a >= low:
+                    row[j] = a
                     out.append(tuple(row))
                 return
-            start, combos = per_class[ci]
-            saved_w = pair_w[:]
-            saved_h = pair_h[:]
-            for combo, w, tot, deltas in combos:
-                nw = weight + w
-                nt = total + tot
-                if prune and (nw > max_w or nt > max_h):
-                    continue
-                if prune and k:
-                    ok = True
-                    for j in gen_range:
-                        a = saved_w[j] + deltas[j][0]
-                        b = saved_h[j] + deltas[j][1]
-                        if a > max_w or b > max_h:
-                            ok = False
-                            break
-                        pair_w[j] = a
-                        pair_h[j] = b
-                    if not ok:
-                        continue
-                row[start:start + len(combo)] = combo
-                rec(ci + 1, nw, nt)
-            pair_w[:] = saved_w
-            pair_h[:] = saved_h
-        rec(0, 0, 0)
+            for a in range(low, D):
+                nxt = acc + table[a]
+                if not nxt & top:
+                    row[j] = a
+                    rec(j + 1, nxt, total + a, a)
+        rec(0, spread * bias_pair, 0, 0)
         return out
 
     def consider(rows_sel, elements):
-        if any(sum(el) % D != 0 for el in elements):
-            return
         if max(sum(el) for el in elements) != s * D:
             return
         gen_rows = list(rows_sel) if rows_sel else [zero_row]
@@ -242,17 +232,17 @@ def enumerate_groups(budget: SearchBudget, s: int,
         gens_left = budget.max_generators - gens_used
         if gens_left <= 0:
             return
-        if prune and need_full:
+        if need_full:
             missing = e - union_mask.bit_count()
             if missing > gens_left * max_w:
                 counters["prunedBySupport"] += 1
                 return
         forced = 0
-        if prune and need_full and gens_left == 1:
+        if need_full and gens_left == 1:
             forced = full_mask & ~union_mask
         classes = column_classes(rows_sel)
         known = set(elements)
-        for row in candidate_rows(rows_sel, classes, forced):
+        for row in candidate_rows(elements, classes, forced):
             if row in known:
                 continue
             nodes += 1
@@ -260,15 +250,7 @@ def enumerate_groups(budget: SearchBudget, s: int,
                 raise BudgetExceeded("enumeration exceeded the node budget",
                                      partial_report=make_report(False))
             status, els = _kernels.extend_closure(
-                elements, row, e, D, budget.max_order,
-                max_weight=max_w, max_height_num=max_h,
-                require_integral=prune)
-            if status == _kernels.STATUS_WEIGHT:
-                counters["prunedByWeight"] += 1
-                continue
-            if status == _kernels.STATUS_HEIGHT:
-                counters["prunedByDegree"] += 1
-                continue
+                elements, row, e, D, budget.max_order)
             if status == _kernels.STATUS_TOO_LARGE:
                 counters["prunedByOrder"] += 1
                 continue

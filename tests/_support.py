@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from latsimplex import ResidueVector, close, is_lattice_pyramid
 from latsimplex._kernels import STATUS_OK, STATUS_TOO_LARGE
-from latsimplex.errors import GroupTooLarge
-from latsimplex.groups import LambdaGroup, degree
+from latsimplex.classify import (
+    DEFAULT_NODE_BUDGET,
+    ClassificationReport,
+    SearchBudget,
+)
+from latsimplex.errors import BudgetExceeded, GroupTooLarge
+from latsimplex.groups import (
+    CanonicalForm,
+    LambdaGroup,
+    _build,
+    canonical_form,
+    degree,
+)
+
+_STATUS_WEIGHT = 2
+_STATUS_HEIGHT = 3
 
 
 def random_integral_vector(rng, e, den):
@@ -177,3 +191,246 @@ def box_scan_count(adj, det_sign, lows, highs, n, strict=False):
             k += 1
         else:
             return count
+
+
+def _limited_extend_closure(prev, row, e, den, cap, max_weight=-1,
+                            max_height_num=-1, require_integral=False):
+    """``_kernels.extend_closure`` as it was with its limit arguments.
+
+    ``max_weight`` caps every support size, ``max_height_num`` every
+    numerator sum, and ``require_integral`` rejects sums not divisible by
+    ``den``.  A coset that would pass ``cap`` is still scanned for those
+    violations, which take precedence, but never stored.
+    """
+    base = set(prev)
+    row = tuple(row)
+    if len(row) != e:
+        raise ValueError("row length does not match e")
+    limited = require_integral or max_height_num >= 0 or max_weight >= 0
+    out = list(prev)
+    cur = row
+    while cur not in base:
+        fits = len(out) + len(prev) <= cap
+        if not (fits or limited):
+            return STATUS_TOO_LARGE, None
+        for h in prev:
+            s = tuple((a + b) % den for a, b in zip(h, cur))
+            if limited:
+                total = sum(s)
+                if require_integral and total % den != 0:
+                    return _STATUS_HEIGHT, None
+                if max_height_num >= 0 and total > max_height_num:
+                    return _STATUS_HEIGHT, None
+                if max_weight >= 0 and e - s.count(0) > max_weight:
+                    return _STATUS_WEIGHT, None
+            if fits:
+                out.append(s)
+        if not fits:
+            return STATUS_TOO_LARGE, None
+        cur = tuple((a + b) % den for a, b in zip(cur, row))
+    out.sort()
+    return STATUS_OK, out
+
+
+def reference_enumerate(budget: SearchBudget, s: int,
+                        require_full_support: bool = False,
+                        require_non_pyramid: bool = True,
+                        prune: bool = True,
+                        node_budget: int = DEFAULT_NODE_BUDGET
+                        ) -> ClassificationReport:
+    """Slow oracle for ``classify.enumerate_groups``: the walk before the
+    admissible-row generator.
+
+    Same arguments (plus ``prune``) and report.  Rows are screened only
+    against the generators; the limited ``_limited_extend_closure`` then
+    rejects rows whose closure breaks the weight, height or integrality
+    caps, counting them as ``prunedByWeight`` and ``prunedByDegree``.
+    ``prune=False`` drops every cap and closes each nonzero row.
+    """
+    e, D = budget.e, budget.max_denominator
+    max_w = 2 * s if prune else -1
+    max_h = s * D if prune else -1
+    counters = {"closuresExamined": 0, "prunedByWeight": 0,
+                "prunedByDegree": 0, "prunedByOrder": 0,
+                "prunedBySupport": 0, "dedupedStates": 0}
+    found: dict[tuple, tuple[CanonicalForm, LambdaGroup]] = {}
+    seen: dict[tuple, int] = {}
+    zero_row = (0,) * e
+    full_mask = (1 << e) - 1
+    need_full = require_full_support or (require_non_pyramid and e > 1)
+    nodes = 0
+
+    def make_report(complete: bool) -> ClassificationReport:
+        forms = sorted(found.values(), key=lambda fg: (fg[0].den, fg[0].table))
+        return ClassificationReport(
+            budget=budget, target_degree=s,
+            require_full_support=require_full_support,
+            require_non_pyramid=require_non_pyramid,
+            found=[cf for cf, _ in forms],
+            groups=[g for _, g in forms],
+            counters=counters, complete=complete)
+
+    def column_classes(rows_sel):
+        if not rows_sel:
+            return [(0, e)]
+        classes = []
+        start = 0
+        prev = tuple(r[0] for r in rows_sel)
+        for j in range(1, e):
+            cur = tuple(r[j] for r in rows_sel)
+            if cur != prev:
+                classes.append((start, j - start))
+                start = j
+                prev = cur
+        classes.append((start, e - start))
+        return classes
+
+    def candidate_rows(rows_sel, classes, forced_mask):
+        """Nonzero rows nondecreasing within the prefix column classes.
+
+        ``forced_mask`` marks coordinates the row must cover (the untouched
+        class, once this is the only generator that can still reach them).
+        Partial sums of the row and of row + earlier generator are pruned
+        against the weight and height caps while the classes are filled; the
+        per-class increments are tabulated up front so the walk over combos
+        costs O(generators) per step.
+        """
+        k = len(rows_sel)
+        per_class = []
+        for start, length in classes:
+            lo = 1 if (forced_mask >> start) & 1 else 0
+            segs = [g[start:start + length] for g in rows_sel]
+            combos = []
+            for combo in combinations_with_replacement(range(lo, D), length):
+                w = length - combo.count(0)
+                tot = sum(combo)
+                if prune and (w > max_w or tot > max_h):
+                    continue
+                deltas = []
+                ok = True
+                for seg in segs:
+                    dw = 0
+                    dh = 0
+                    for a, v in zip(seg, combo):
+                        sv = (a + v) % D
+                        if sv:
+                            dw += 1
+                            dh += sv
+                    if prune and (dw > max_w or dh > max_h):
+                        ok = False
+                        break
+                    deltas.append((dw, dh))
+                if ok:
+                    combos.append((combo, w, tot, deltas))
+            per_class.append((start, combos))
+
+        out = []
+        row = [0] * e
+        pair_w = [0] * k
+        pair_h = [0] * k
+        gen_range = range(k)
+        last = len(per_class)
+
+        def rec(ci, weight, total):
+            if ci == last:
+                if weight and (not prune or total % D == 0):
+                    out.append(tuple(row))
+                return
+            start, combos = per_class[ci]
+            saved_w = pair_w[:]
+            saved_h = pair_h[:]
+            for combo, w, tot, deltas in combos:
+                nw = weight + w
+                nt = total + tot
+                if prune and (nw > max_w or nt > max_h):
+                    continue
+                if prune and k:
+                    ok = True
+                    for j in gen_range:
+                        a = saved_w[j] + deltas[j][0]
+                        b = saved_h[j] + deltas[j][1]
+                        if a > max_w or b > max_h:
+                            ok = False
+                            break
+                        pair_w[j] = a
+                        pair_h[j] = b
+                    if not ok:
+                        continue
+                row[start:start + len(combo)] = combo
+                rec(ci + 1, nw, nt)
+            pair_w[:] = saved_w
+            pair_h[:] = saved_h
+        rec(0, 0, 0)
+        return out
+
+    def consider(rows_sel, elements):
+        if any(sum(el) % D != 0 for el in elements):
+            return
+        if max(sum(el) for el in elements) != s * D:
+            return
+        gen_rows = list(rows_sel) if rows_sel else [zero_row]
+        G = _build(e, D, gen_rows, list(elements))
+        if require_full_support and not G.full_support:
+            return
+        if require_non_pyramid and is_lattice_pyramid(G):
+            return
+        cf = canonical_form(G)
+        key = (cf.den, cf.table)
+        if key not in found:
+            found[key] = (cf, G)
+
+    def walk(rows_sel, elements, union_mask):
+        nonlocal nodes
+        gens_used = len(rows_sel)
+        gens_left = budget.max_generators - gens_used
+        if gens_left <= 0:
+            return
+        if prune and need_full:
+            missing = e - union_mask.bit_count()
+            if missing > gens_left * max_w:
+                counters["prunedBySupport"] += 1
+                return
+        forced = 0
+        if prune and need_full and gens_left == 1:
+            forced = full_mask & ~union_mask
+        classes = column_classes(rows_sel)
+        known = set(elements)
+        for row in candidate_rows(rows_sel, classes, forced):
+            if row in known:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded("enumeration exceeded the node budget",
+                                     partial_report=make_report(False))
+            status, els = _limited_extend_closure(
+                elements, row, e, D, budget.max_order,
+                max_weight=max_w, max_height_num=max_h,
+                require_integral=prune)
+            if status == _STATUS_WEIGHT:
+                counters["prunedByWeight"] += 1
+                continue
+            if status == _STATUS_HEIGHT:
+                counters["prunedByDegree"] += 1
+                continue
+            if status == STATUS_TOO_LARGE:
+                counters["prunedByOrder"] += 1
+                continue
+            # states are deduplicated by their exact element table; a repeat
+            # only matters if it now arrives with more generator slots left
+            key = tuple(els)
+            prior = seen.get(key)
+            if prior is not None and prior <= gens_used + 1:
+                counters["dedupedStates"] += 1
+                continue
+            seen[key] = gens_used + 1
+            counters["closuresExamined"] += 1
+            mask = union_mask
+            for i, a in enumerate(row):
+                if a:
+                    mask |= 1 << i
+            consider(rows_sel + [row], els)
+            walk(rows_sel + [row], els, mask)
+
+    consider([], [zero_row])
+    walk([], [zero_row], 0)
+    return make_report(True)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from _support import random_non_pyramid_group
+from _support import random_non_pyramid_group, reference_enumerate
 from latsimplex import (
     SearchBudget,
     atoms,
@@ -20,6 +20,7 @@ from latsimplex import (
     verify_main1,
     verify_main2,
 )
+from latsimplex.classify import DEFAULT_MAIN1_BUDGETS, DEFAULT_MAIN2_BUDGETS
 from latsimplex.errors import HypothesesNotMet
 
 
@@ -37,11 +38,63 @@ def test_enumeration_e3_s0():
     assert relaxed.found == [canonical_form(trivial_group(3))]
 
 
+# perfbench's search budgets (e, max denominator, max generators, s) at max
+# order 4096, copied because the tests do not import the benchmark
+SEARCH_BUDGETS = ((7, 6, 3, 2), (8, 6, 3, 2), (9, 3, 3, 3), (9, 2, 3, 3),
+                  (8, 2, 3, 3), (11, 2, 4, 3), (11, 3, 3, 3), (10, 3, 3, 3),
+                  (12, 2, 4, 3), (6, 2, 4, 3), (8, 4, 3, 2), (10, 2, 3, 3),
+                  (8, 4, 2, 3), (9, 4, 3, 2))
+SAME_COUNTERS = ("closuresExamined", "dedupedStates", "prunedBySupport")
+
+
+def _assert_same_walk(budget, s, **flags):
+    ref = reference_enumerate(budget, s, **flags)
+    # every row the oracle closed that this walk may close as well
+    closed = sum(n for name, n in ref.counters.items()
+                 if name != "prunedBySupport")
+    ours = enumerate_groups(budget, s, node_budget=closed, **flags)
+    case = (budget, s, flags)
+    assert ours.complete and ref.complete, case
+    assert ours.found == ref.found, case
+    assert ([[g.nums for g in G.generators] for G in ours.groups]
+            == [[g.nums for g in G.generators] for G in ref.groups]), case
+    for name in SAME_COUNTERS:
+        assert ours.counters[name] == ref.counters[name], (case, name)
+    assert (ours.counters["prunedByOrder"]
+            <= ref.counters["prunedByOrder"]), case
+    assert ours.counters["prunedByWeight"] == 0, case
+    assert ours.counters["prunedByDegree"] == 0, case
+
+
 def test_enumeration_pruning_soundness():
+    """The admissible-row walk against the walk that screens rows only by
+    generators and leaves the rest to a limited closure."""
     budget = SearchBudget(3, 6, 3, 512)
-    pruned = enumerate_groups(budget, 1)
-    plain = enumerate_groups(budget, 1, prune=False)
-    assert pruned.found == plain.found
+    plain = reference_enumerate(budget, 1, prune=False)
+    assert enumerate_groups(budget, 1).found == plain.found
+
+    # cheap budgets first, so that a walk pruning too little fails early
+    for r, budget in DEFAULT_MAIN1_BUDGETS.items():
+        _assert_same_walk(budget, 1 << r)
+    for s in (1, 2):
+        _assert_same_walk(DEFAULT_MAIN2_BUDGETS[s], s)
+    for budget in (SearchBudget(7, 4, 3, 8), SearchBudget(8, 6, 3, 6),
+                   SearchBudget(8, 6, 3, 12)):
+        _assert_same_walk(budget, 2)
+
+    # s <= (e - 1) / 2 keeps the caps binding; past that the oracle's walk
+    # takes seconds to tens of seconds per budget
+    rng = random.Random(71)
+    for _ in range(100):
+        e, den = rng.randint(1, 7), rng.randint(1, 6)
+        budget = SearchBudget(e, den, rng.randint(1, 3),
+                              rng.randint(den, 4096))
+        _assert_same_walk(budget, rng.randint(0, min(2, (e - 1) // 2)),
+                          require_full_support=rng.random() < 0.5,
+                          require_non_pyramid=rng.random() < 0.5)
+
+    for e, den, gens, s in SEARCH_BUDGETS:
+        _assert_same_walk(SearchBudget(e, den, gens, 4096), s)
 
 
 def test_enumeration_is_deterministic():

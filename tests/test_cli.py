@@ -173,6 +173,9 @@ DOMAIN_ERROR_CASES = [
       "--max-gen", "1"]),
     ("verify main1 r 2", "invalid-input", None,
      ["verify", "--suite", "main1", "--r", "2"]),
+    ("classify degree -1", "invalid-input", None,
+     ["classify", "--e", "3", "--degree", "-1", "--max-den", "2",
+      "--max-gen", "1"]),
     ("float den and entry", "invalid-input",
      json.dumps({"e": 3, "den": 2.9, "generators": [[1, 1, 0.5]]}),
      ["analyze", "{path}"]),
