@@ -3,23 +3,29 @@
 A block of coordinates is *null* for a group when every element sums to an
 integer over it; checking the generators suffices because block sums add.
 The decomposition number of the associated simplex is the maximum size of a
-partition of all coordinates into null blocks.  The exact solver is a
-memoized subset search over minimal null blocks anchored at the lowest
-uncovered coordinate; past the bitmask cap a branch-and-bound variant with a
-block-size bound takes over.
+partition of all coordinates into null blocks.  The exact solver is one
+branch-and-bound search over null blocks anchored at the lowest uncovered
+coordinate.  Coordinate i lies in no null block with fewer than s_i
+members, so the uncovered coordinates form at most floor(sum of 1/s_i)
+more blocks.  One node budget counts the search nodes and every subset
+examined on the way, so the work of a request is bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .codes import half_matrix, projective_matrix
 from .errors import HypothesesNotMet, NonIntegralHeights, SolverCapExceeded
 from .groups import (LambdaGroup, _coordinate_components, _mask_to_set,
                      degree)
 
-DEFAULT_SOLVER_CAP = 24
 DEFAULT_NODE_BUDGET = 2_000_000
+# Least null sizes are found exactly up to this many sizes past the
+# smallest; a coordinate in no null block that small is bounded below by
+# the next size.
+_EXACT_SIZES_PAST_MIN = 2
 
 
 def is_null(G: LambdaGroup, S) -> bool:
@@ -60,91 +66,47 @@ def validate_partition(G: LambdaGroup, partition) -> bool:
     return covered == set(range(1, G.e + 1))
 
 
+def _indices(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class _Solver:
-    """Max-blocks search over null subsets of the coordinate set."""
+    """Max-blocks search over null subsets of the coordinate set.
+
+    Column i of the generator rows is packed into one int, a field of p + 1
+    bits per generator with 2^p >= den, so two columns add mod den in a few
+    int operations: a field reaches den exactly when adding 2^p - den sets
+    its top bit, and those fields drop by den.
+    """
 
     def __init__(self, G: LambdaGroup, node_budget: int):
-        self.e = G.e
-        self.den = G.den
-        self.rows = [g.nums for g in G.generators]
-        self.g = len(self.rows)
-        self.contrib = [tuple(row[i] % self.den for row in self.rows)
-                       for i in range(self.e)]
+        self.e = e = G.e
+        self.den = den = G.den
+        self.p = p = (den - 1).bit_length()
+        self.ones = ones = sum(1 << (t * (p + 1))
+                               for t in range(len(G.generators)))
+        self.bias = ((1 << p) - den) * ones
+        self.cols = [sum((g.nums[i] % den) << (t * (p + 1))
+                         for t, g in enumerate(G.generators))
+                     for i in range(e)]
+        # coordinates by negated column: j completes a partial sum s to a
+        # null set exactly when s is the negation of column j
+        self.completing: dict[int, list[int]] = {}
+        for j, c in enumerate(self.cols):
+            self.completing.setdefault(self._reduce(den * ones - c),
+                                       []).append(j)
         self.node_budget = node_budget
         self.nodes = 0
-        self.smin = self._smallest_null_size()
+        self.sizes = self._null_sizes()
+        self.smin = min(self.sizes)
 
-    def _smallest_null_size(self) -> int:
-        e, den, contrib = self.e, self.den, self.contrib
-        zero = (0,) * self.g
-
-        def dfs(start, remaining, sums):
-            if remaining == 0:
-                return all(x == 0 for x in sums)
-            for i in range(start, e - remaining + 1):
-                ns = tuple((a + b) % den for a, b in zip(sums, contrib[i]))
-                if dfs(i + 1, remaining - 1, ns):
-                    return True
-            return False
-
-        for size in range(1, e + 1):
-            if dfs(0, size, zero):
-                return size
-        return e
-
-    def _is_minimal(self, mask: int, size: int) -> bool:
-        # A null block smaller than twice the minimum null size cannot
-        # contain a proper null subset (its complement would be null too).
-        if size < 2 * self.smin:
-            return True
-        if size > 12:
-            return True  # skipping the check only costs time, never exactness
-        bits = []
-        m = mask
-        while m:
-            low = m & -m
-            bits.append(low.bit_length() - 1)
-            m ^= low
-        den, contrib, g = self.den, self.contrib, self.g
-        for sub in range(1, (1 << size) - 1):
-            sums = [0] * g
-            t = sub
-            while t:
-                low = t & -t
-                i = bits[low.bit_length() - 1]
-                for k in range(g):
-                    sums[k] += contrib[i][k]
-                t ^= low
-            if all(x % den == 0 for x in sums):
-                return False
-        return True
-
-    def _anchored_blocks(self, avail: int, anchor: int, size: int) -> list[int]:
-        """Minimal null subsets of ``avail`` containing ``anchor``, by index order."""
-        den, contrib = self.den, self.contrib
-        base = contrib[anchor]
-        amask = 1 << anchor
-        if size == 1:
-            if all(x == 0 for x in base):
-                return [amask]
-            return []
-        idxs = [i for i in range(anchor + 1, self.e) if (avail >> i) & 1]
-        out: list[int] = []
-
-        def dfs(start, remaining, sums, mask):
-            if remaining == 0:
-                if all(x == 0 for x in sums):
-                    full = mask | amask
-                    if self._is_minimal(full, size):
-                        out.append(full)
-                return
-            for pos in range(start, len(idxs) - remaining + 1):
-                i = idxs[pos]
-                ns = tuple((a + b) % den for a, b in zip(sums, contrib[i]))
-                dfs(pos + 1, remaining - 1, ns, mask | (1 << i))
-
-        dfs(0, size - 1, base, 0)
-        return out
+    def _reduce(self, t: int) -> int:
+        return t - ((t + self.bias) >> self.p & self.ones) * self.den
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -152,98 +114,134 @@ class _Solver:
             raise SolverCapExceeded(
                 f"solver exceeded the node budget of {self.node_budget}")
 
-    def solve_exact(self):
-        full = (1 << self.e) - 1
-        smin = self.smin
-        memo: dict[int, tuple[int, int]] = {}
+    def _completions(self, pool: int, total: int, count: int,
+                     first: bool = False) -> list[int]:
+        """``count``-subsets T of ``pool`` with ``total`` + sum(T) null.
 
-        def rec(avail: int) -> tuple[int, int]:
-            if avail == 0:
-                return 0, 0
-            hit = memo.get(avail)
-            if hit is not None:
-                return hit
+        Masks in index order.  All but the last member are walked, each
+        prefix charged to the node budget; the last member is looked up by
+        its column.  ``first`` stops at the first subset found.
+        """
+        if count == 0:
+            return [0] if total == 0 else []
+        idxs = _indices(pool)
+        cols, completing, reduce = self.cols, self.completing, self._reduce
+        out: list[int] = []
+
+        def walk(start, left, s, mask, after) -> bool:
             self._tick()
-            m = avail.bit_count()
-            anchor = (avail & -avail).bit_length() - 1
-            best = 0
-            best_block = avail
-            for size in range(smin, m + 1):
-                if best and 1 + (m - size) // smin <= best:
-                    break
-                for block in self._anchored_blocks(avail, anchor, size):
-                    sub, _ = rec(avail & ~block)
-                    if 1 + sub > best:
-                        best = 1 + sub
-                        best_block = block
-            if best == 0:
-                best = 1  # the whole available set is the only block left
-            memo[avail] = (best, best_block)
-            return best, best_block
+            if left == 1:
+                for j in completing.get(s, ()):
+                    if j > after and pool >> j & 1:
+                        out.append(mask | 1 << j)
+                        if first:
+                            return True
+                return False
+            for pos in range(start, len(idxs) - left + 1):
+                i = idxs[pos]
+                if walk(pos + 1, left - 1, reduce(s + cols[i]),
+                        mask | 1 << i, i):
+                    return True
+            return False
 
-        count, _ = rec(full)
-        blocks = []
-        avail = full
-        while avail:
-            _, blk = memo[avail]
-            blocks.append(blk)
-            avail &= ~blk
-        return count, blocks
+        walk(0, count, total, 0, -1)
+        return out
 
-    def solve_branch_bound(self):
+    def _null_sizes(self) -> list[int]:
+        """Lower bounds on the size of a null block holding each coordinate.
+
+        Exact for coordinates in a null block at most
+        ``_EXACT_SIZES_PAST_MIN`` larger than the smallest one.
+        """
         full = (1 << self.e) - 1
-        smin = self.smin
-        best_count = 0
-        best_blocks: list[int] = []
+        sizes = [0] * self.e
+        size = smin = 0
+        while not all(sizes) and not (
+                smin and size >= smin + _EXACT_SIZES_PAST_MIN):
+            size += 1
+            for i in range(self.e):
+                if sizes[i]:
+                    continue
+                hit = self._completions(full & ~(1 << i), self.cols[i],
+                                        size - 1, first=True)
+                if hit:
+                    # every member was searched at each smaller size
+                    for j in _indices(hit[0] | 1 << i):
+                        sizes[j] = sizes[j] or size
+            if not smin and any(sizes):
+                smin = size
+        return [s or size + 1 for s in sizes]
+
+    def search(self) -> list[int]:
+        """Block masks of a maximum partition, the first found in
+        size-then-index order; a branch is cut only when it cannot beat the
+        best partition so far, so ties keep that first one."""
+        sizes, smin = self.sizes, self.smin
+        unit = lcm(*set(sizes))
+        weight = [unit // s for s in sizes]
+        best: list[int] = []
         path: list[int] = []
+        stack = []
 
-        def rec(avail: int, cur: int) -> None:
-            nonlocal best_count, best_blocks
+        def blocks(avail, anchor, m, cur):
+            # Null blocks holding the anchor, smallest first, in index
+            # order.  A block holding a smaller null block is never in a
+            # maximum partition (splitting it gives more blocks), so it
+            # cannot change the answer or the witness and needs no filter.
+            bit = 1 << anchor
+            for size in range(sizes[anchor], m + 1):
+                if cur + 1 + (m - size) // smin <= len(best):
+                    return
+                for rest in self._completions(avail & ~bit, self.cols[anchor],
+                                              size - 1):
+                    yield rest | bit
+
+        def enter(avail: int, left: int) -> bool:
+            # coordinate i fills at most 1/sizes[i] of a block, so the
+            # weights ``left`` of avail allow at most left // unit blocks
+            nonlocal best
             self._tick()
-            if avail == 0:
-                if cur > best_count:
-                    best_count = cur
-                    best_blocks = list(path)
-                return
-            m = avail.bit_count()
-            if cur + m // smin <= best_count:
-                return
+            if not avail:
+                if len(path) > len(best):
+                    best = list(path)
+                return False
+            if len(path) + left // unit <= len(best):
+                return False
             anchor = (avail & -avail).bit_length() - 1
-            for size in range(smin, m + 1):
-                if cur + 1 + (m - size) // smin <= best_count:
-                    break
-                for block in self._anchored_blocks(avail, anchor, size):
-                    path.append(block)
-                    rec(avail & ~block, cur + 1)
+            stack.append((avail, left, blocks(avail, anchor,
+                                              avail.bit_count(), len(path))))
+            return True
+
+        # explicit stack: a partition may have thousands of blocks
+        enter((1 << self.e) - 1, sum(weight))
+        while stack:
+            avail, left, candidates = stack[-1]
+            block = next(candidates, None)
+            if block is None:
+                stack.pop()
+                if path:
                     path.pop()
+                continue
+            path.append(block)
+            if not enter(avail & ~block,
+                         left - sum(weight[i] for i in _indices(block))):
+                path.pop()
+        return best
 
-        rec(full, 0)
-        return best_count, best_blocks
 
-
-def max_cayley_blocks(G: LambdaGroup, solver_cap: int = DEFAULT_SOLVER_CAP,
-                      allow_branch_and_bound: bool = False,
+def max_cayley_blocks(G: LambdaGroup,
                       node_budget: int = DEFAULT_NODE_BUDGET):
     """Exact maximum number of null blocks partitioning [e], with a witness.
 
-    Uses the memoized subset search up to ``solver_cap`` coordinates and
-    raises SolverCapExceeded beyond it unless ``allow_branch_and_bound`` is
-    set.  Ties between witnesses go to the smaller block first, then to index
-    order, so results are deterministic.
+    Raises SolverCapExceeded once the search has visited ``node_budget``
+    nodes and subsets.  Ties between witnesses go to the smaller block
+    first, then to index order, so results are deterministic.
     """
     if not G.integer_sum:
         raise NonIntegralHeights("Cayley partitions need an integer-sum group")
-    solver = _Solver(G, node_budget)
-    if G.e <= solver_cap:
-        count, masks = solver.solve_exact()
-    else:
-        if not allow_branch_and_bound:
-            raise SolverCapExceeded(
-                f"e={G.e} exceeds the exact solver cap {solver_cap}; "
-                "enable the branch-and-bound fallback")
-        count, masks = solver.solve_branch_bound()
+    masks = _Solver(G, node_budget).search()
     blocks = tuple(sorted((_mask_to_set(m) for m in masks), key=min))
-    return count, CayleyPartition(blocks)
+    return len(masks), CayleyPartition(blocks)
 
 
 def cayley_upper_bound_distinct_halves(G: LambdaGroup) -> int:
@@ -361,14 +359,17 @@ class ConjectureReport:
         }
 
 
-def conjecture_report(G: LambdaGroup, solver_cap: int = DEFAULT_SOLVER_CAP,
-                      allow_branch_and_bound: bool = False,
-                      node_budget: int = DEFAULT_NODE_BUDGET) -> ConjectureReport:
+def conjecture_report(G: LambdaGroup,
+                      node_budget: int = DEFAULT_NODE_BUDGET, *,
+                      allow_branch_and_bound=None) -> ConjectureReport:
+    """C(G) against the original and the modified Cayley bounds.
+
+    ``allow_branch_and_bound`` has no effect; it stays so that callers of
+    the former fallback switch, such as the benchmark, keep working.
+    """
     d = G.e - 1
     s = degree(G)
-    C, _ = max_cayley_blocks(G, solver_cap=solver_cap,
-                             allow_branch_and_bound=allow_branch_and_bound,
-                             node_budget=node_budget)
+    C, _ = max_cayley_blocks(G, node_budget=node_budget)
     original_gap = (d + 1 - 2 * s) - C
     modified_bound = (17 * s - 4) // 6
     modified_gap = (d + 1 - modified_bound) - C

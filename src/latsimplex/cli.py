@@ -109,18 +109,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_cayley(args) -> int:
     G = _group_from_json(_read_json(args.group), args.max_order)
-    count, partition = cayley.max_cayley_blocks(
-        G, solver_cap=args.solver_cap,
-        allow_branch_and_bound=args.branch_and_bound)
+    count, partition = cayley.max_cayley_blocks(G)
     _emit({"C": count, "partition": partition.to_json()})
     return 0
 
 
 def cmd_conjecture(args) -> int:
     G = _group_from_json(_read_json(args.group), args.max_order)
-    report = cayley.conjecture_report(
-        G, solver_cap=args.solver_cap,
-        allow_branch_and_bound=args.branch_and_bound)
+    report = cayley.conjecture_report(G)
     _emit(report.to_json())
     return 0
 
@@ -198,7 +194,7 @@ def _report_rows(max_order: int):
     for r in range(4):
         G = codes.simplex_code_group(r + 2, max_order=max_order)
         hs = groups.h_star(G)
-        rep = cayley.conjecture_report(G, allow_branch_and_bound=True)
+        rep = cayley.conjecture_report(G)
         family_rows.append({
             "r": r, "e": G.e, "degree": hs.degree(), "volume": hs.volume(),
             "hstar": str(hs), "C": rep.cayley_number,
@@ -207,7 +203,7 @@ def _report_rows(max_order: int):
     counter_rows = []
     for s in range(2, 9):
         G = codes.counterexample_simplex(s, max_order=max_order)
-        rep = cayley.conjecture_report(G, allow_branch_and_bound=True)
+        rep = cayley.conjecture_report(G)
         counter_rows.append({
             "s": s, "e": G.e, "blocks": bin(2 * s).count("1"),
             "degree": groups.degree(G), "C": rep.cayley_number,
@@ -263,13 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=groups.DEFAULT_MAX_ORDER,
                        help="cap on group closures")
 
-    def solver(p):
-        p.add_argument("--solver-cap", type=int,
-                       default=cayley.DEFAULT_SOLVER_CAP,
-                       help="largest e handled by the exact subset search")
-        p.add_argument("--branch-and-bound", action="store_true",
-                       help="allow the branch-and-bound fallback past the cap")
-
     p = sub.add_parser("code", help="group generated by the half matrix")
     p.add_argument("--r", type=int, required=True, help="code dimension")
     p.add_argument("--matrix", action="store_true",
@@ -292,13 +281,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cayley", help="maximal null-block partition")
     p.add_argument("group")
     common(p)
-    solver(p)
     p.set_defaults(func=cmd_cayley)
 
     p = sub.add_parser("conjecture", help="Cayley-bound gaps and verdicts")
     p.add_argument("group")
     common(p)
-    solver(p)
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("realize", help="integer vertices for a group")

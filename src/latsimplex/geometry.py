@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from . import _kernels
 from .errors import (
@@ -34,6 +34,9 @@ from .residues import ResidueVector, as_int, int_rows
 
 DEFAULT_MAX_COUNT_DIMENSION = 8
 DEFAULT_MAX_DILATION = 20
+# the most points of the box a count may walk: every side but the last,
+# which is counted as an interval
+MAX_BOX_POINTS = 1 << 18
 
 
 def _xgcd(a: int, b: int):
@@ -429,7 +432,8 @@ def count_lattice_points(simplex: LatticeSimplex, n: int,
     the dilation coordinate by coordinate, keeping only the values for which
     every integral barycentric coordinate can still end up nonnegative
     (positive when ``strict``), and counts the last coordinate as an integer
-    interval; see ``_kernels.count_box_points``.
+    interval; see ``_kernels.count_box_points``.  A walked box of more than
+    ``MAX_BOX_POINTS`` points is refused before counting.
     """
     if n < 0:
         raise ValueError("dilation must be nonnegative")
@@ -440,12 +444,17 @@ def count_lattice_points(simplex: LatticeSimplex, n: int,
         return 0 if strict else 1
     if simplex.d == 0:
         return 1
+    lows = [n * min(v[j] for v in simplex.vertices) for j in range(simplex.d)]
+    highs = [n * max(v[j] for v in simplex.vertices) for j in range(simplex.d)]
+    walked = prod(hi - lo + 1 for lo, hi in zip(lows[:-1], highs[:-1]))
+    if walked > MAX_BOX_POINTS:
+        raise BudgetExceeded(
+            f"counting at n = {n} walks {walked} box points, more than "
+            f"the budget of {MAX_BOX_POINTS}")
     bordered = simplex.bordered()
     det = _det(bordered)
     adj = _adjugate(bordered, det)
     det_sign = 1 if det > 0 else -1
-    lows = [n * min(v[j] for v in simplex.vertices) for j in range(simplex.d)]
-    highs = [n * max(v[j] for v in simplex.vertices) for j in range(simplex.d)]
     return _kernels.count_box_points(adj, det_sign, lows, highs, n, strict)
 
 

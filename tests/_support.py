@@ -87,6 +87,139 @@ def brute_max_blocks(G: LambdaGroup) -> int:
     return best
 
 
+class _MemoizedBlocks:
+    """The memoized subset search over minimal null blocks anchored at the
+    lowest uncovered coordinate, without any budget."""
+
+    def __init__(self, G: LambdaGroup):
+        self.e = G.e
+        self.den = G.den
+        self.rows = [g.nums for g in G.generators]
+        self.g = len(self.rows)
+        self.contrib = [tuple(row[i] % self.den for row in self.rows)
+                        for i in range(self.e)]
+        self.smin = self._smallest_null_size()
+
+    def _smallest_null_size(self) -> int:
+        e, den, contrib = self.e, self.den, self.contrib
+        zero = (0,) * self.g
+
+        def dfs(start, remaining, sums):
+            if remaining == 0:
+                return all(x == 0 for x in sums)
+            for i in range(start, e - remaining + 1):
+                ns = tuple((a + b) % den for a, b in zip(sums, contrib[i]))
+                if dfs(i + 1, remaining - 1, ns):
+                    return True
+            return False
+
+        for size in range(1, e + 1):
+            if dfs(0, size, zero):
+                return size
+        return e
+
+    def _is_minimal(self, mask: int, size: int) -> bool:
+        if size < 2 * self.smin:
+            return True
+        if size > 12:
+            return True
+        bits = []
+        m = mask
+        while m:
+            low = m & -m
+            bits.append(low.bit_length() - 1)
+            m ^= low
+        den, contrib, g = self.den, self.contrib, self.g
+        for sub in range(1, (1 << size) - 1):
+            sums = [0] * g
+            t = sub
+            while t:
+                low = t & -t
+                i = bits[low.bit_length() - 1]
+                for k in range(g):
+                    sums[k] += contrib[i][k]
+                t ^= low
+            if all(x % den == 0 for x in sums):
+                return False
+        return True
+
+    def _anchored_blocks(self, avail: int, anchor: int, size: int) -> list[int]:
+        den, contrib = self.den, self.contrib
+        base = contrib[anchor]
+        amask = 1 << anchor
+        if size == 1:
+            if all(x == 0 for x in base):
+                return [amask]
+            return []
+        idxs = [i for i in range(anchor + 1, self.e) if (avail >> i) & 1]
+        out: list[int] = []
+
+        def dfs(start, remaining, sums, mask):
+            if remaining == 0:
+                if all(x == 0 for x in sums):
+                    full = mask | amask
+                    if self._is_minimal(full, size):
+                        out.append(full)
+                return
+            for pos in range(start, len(idxs) - remaining + 1):
+                i = idxs[pos]
+                ns = tuple((a + b) % den for a, b in zip(sums, contrib[i]))
+                dfs(pos + 1, remaining - 1, ns, mask | (1 << i))
+
+        dfs(0, size - 1, base, 0)
+        return out
+
+    def solve(self):
+        full = (1 << self.e) - 1
+        smin = self.smin
+        memo: dict[int, tuple[int, int]] = {}
+
+        def rec(avail: int) -> tuple[int, int]:
+            if avail == 0:
+                return 0, 0
+            hit = memo.get(avail)
+            if hit is not None:
+                return hit
+            m = avail.bit_count()
+            anchor = (avail & -avail).bit_length() - 1
+            best = 0
+            best_block = avail
+            for size in range(smin, m + 1):
+                if best and 1 + (m - size) // smin <= best:
+                    break
+                for block in self._anchored_blocks(avail, anchor, size):
+                    sub, _ = rec(avail & ~block)
+                    if 1 + sub > best:
+                        best = 1 + sub
+                        best_block = block
+            if best == 0:
+                best = 1  # the whole available set is the only block left
+            memo[avail] = (best, best_block)
+            return best, best_block
+
+        count, _ = rec(full)
+        blocks = []
+        avail = full
+        while avail:
+            _, blk = memo[avail]
+            blocks.append(blk)
+            avail &= ~blk
+        return count, blocks
+
+
+def reference_max_blocks(G: LambdaGroup) -> tuple[int, list[list[int]]]:
+    """Slow oracle for ``cayley.max_cayley_blocks``: the memoized search.
+
+    Returns C and the witness as ``CayleyPartition.block_lists()`` would
+    print it.  For each set of uncovered coordinates it keeps the first
+    best block in size-then-index order, so its witness is the first
+    maximum partition in that order, the one the branch-and-bound must find.
+    """
+    count, masks = _MemoizedBlocks(G).solve()
+    blocks = [[i + 1 for i in range(G.e) if m >> i & 1] for m in masks]
+    return count, sorted(blocks, key=min)
+
+
 def all_greedy_cover_size_sequences(G: LambdaGroup) -> set[tuple[int, ...]]:
     """Size sequences over every possible weight-greedy cover run."""
     masks = list(G.masks)

@@ -92,7 +92,7 @@ def test_a3_counterexample_reproduction():
             assert G.e == 4 * s - p == f(2 * s)
             assert degree(G) == s
             assert not is_lattice_pyramid(G)
-            C, _ = max_cayley_blocks(G, allow_branch_and_bound=True)
+            C, _ = max_cayley_blocks(G)
             assert G.e - 2 * s > C
             if s == 2:
                 assert (G.e - 2 * s) - C == 7 - 4 - 2 == 1
@@ -104,7 +104,7 @@ def test_a4_modified_conjecture_values():
         witnesses = {}
         for r in range(4):
             G = simplex_code_group(r + 2)
-            C, witnesses[r] = max_cayley_blocks(G, allow_branch_and_bound=True)
+            C, witnesses[r] = max_cayley_blocks(G)
             s = 1 << r
             d_plus_1 = (1 << (r + 2)) - 1
             margins[r] = C - d_plus_1 + (17 * s - 4) // 6

@@ -8,6 +8,7 @@ from _support import (
     brute_max_blocks,
     is_null_all_elements,
     random_integer_sum_group,
+    reference_max_blocks,
 )
 from latsimplex import (
     ResidueVector,
@@ -83,13 +84,27 @@ def test_max_blocks_requires_integer_sum():
 
 
 def test_solver_cap_and_branch_and_bound():
+    # the 31 coordinates of B_5 need no solver option
     B5 = simplex_code_group(5)
-    with pytest.raises(SolverCapExceeded):
-        max_cayley_blocks(B5)
-    count, witness = max_cayley_blocks(B5, allow_branch_and_bound=True)
+    count, witness = max_cayley_blocks(B5)
     assert validate_partition(B5, witness)
     assert count == 10
     assert sorted(len(b) for b in witness.blocks) == [3] * 9 + [4]
+    # the node budget is the only bound
+    with pytest.raises(SolverCapExceeded):
+        max_cayley_blocks(B5, node_budget=100)
+
+
+def test_solver_matches_memoized_reference():
+    rng = random.Random(53)
+    groups = [random_integer_sum_group(rng, e_max=12, den_max=4,
+                                       max_order=256)
+              for _ in range(100)]
+    groups += [simplex_code_group(r) for r in range(2, 5)]
+    groups += [counterexample_simplex(s) for s in range(2, 7)]
+    for G in groups:
+        count, witness = max_cayley_blocks(G)
+        assert (count, witness.block_lists()) == reference_max_blocks(G)
 
 
 def test_solver_agrees_with_brute_force():
@@ -132,7 +147,7 @@ def test_upper_bound_hypotheses():
 def test_upper_bound_dominates_solver():
     for r in range(2, 6):
         G = simplex_code_group(r)
-        C, _ = max_cayley_blocks(G, allow_branch_and_bound=True)
+        C, _ = max_cayley_blocks(G)
         assert C <= cayley_upper_bound_distinct_halves(G)
 
 
@@ -164,7 +179,7 @@ def test_recursive_decomposition_counts_and_validity():
 def test_decomposition_within_solver_bounds():
     for r in range(4):
         G = simplex_code_group(r + 2)
-        C, _ = max_cayley_blocks(G, allow_branch_and_bound=True)
+        C, _ = max_cayley_blocks(G)
         lower = len(recursive_decomposition(r))
         upper = cayley_upper_bound_distinct_halves(G)
         assert lower <= C <= upper
@@ -189,7 +204,7 @@ def test_modified_conjecture_values_on_the_family():
     values = {}
     for r in range(4):
         G = simplex_code_group(r + 2)
-        rep = conjecture_report(G, allow_branch_and_bound=True)
+        rep = conjecture_report(G)
         value = rep.cayley_number - (rep.d + 1) + rep.modified_bound
         values[r] = value
         assert value >= 0

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stdout
 from unittest import mock
 
@@ -194,6 +195,9 @@ DOMAIN_ERROR_CASES = [
     ("dilation past the count budget", "budget-exceeded",
      json.dumps({"d": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}),
      ["ehrhart", "{path}", "--max-n", "21"]),
+    ("box past the count budget", "budget-exceeded",
+     json.dumps({"d": 2, "vertices": [[0, 0], [10 ** 6, 0], [0, 1]]}),
+     ["ehrhart", "{path}", "--max-n", "2"]),
 ]
 
 
@@ -288,15 +292,32 @@ def test_cli_survives_arbitrary_json(case):
 
 
 def test_solver_cap_error_is_machine_readable(capsys, tmp_path):
+    # the cyclic group of order 40 on 40 coordinates has one null block,
+    # all of them; ruling out the smaller ones passes the node budget
+    path = tmp_path / "cyclic40.json"
+    path.write_text(json.dumps({"e": 40, "den": 40,
+                                "generators": [[1] * 40]}))
+    start = time.perf_counter()
+    code, obj = run_json(capsys, "cayley", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert list(obj) == ["error", "message"]
+    assert obj["error"] == "solver-cap-exceeded"
     _, group_json = run_cli(capsys, "code", "--r", "5")
     path = tmp_path / "b5.json"
     path.write_text(group_json)
     code, obj = run_json(capsys, "cayley", str(path))
-    assert code == 1
-    assert obj["error"] == "solver-cap-exceeded"
-    code, obj = run_json(capsys, "cayley", str(path), "--branch-and-bound")
     assert code == 0
     assert obj["C"] == 10
+
+
+def test_cayley_partition_deeper_than_the_recursion_limit(capsys, tmp_path):
+    path = tmp_path / "trivial1200.json"
+    path.write_text(json.dumps({"e": 1200, "den": 1, "generators": []}))
+    code, obj = run_json(capsys, "cayley", str(path))
+    assert code == 0
+    assert obj["C"] == 1200
+    assert obj["partition"] == [[i] for i in range(1, 1201)]
 
 
 def test_usage_error_exit_code():
