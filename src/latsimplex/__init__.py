@@ -14,10 +14,10 @@ from .cayley import (
     CayleyPartition,
     ConjectureReport,
     cayley_upper_bound_distinct_halves,
+    code_partition,
     conjecture_report,
     is_null,
     max_cayley_blocks,
-    recursive_decomposition,
     validate_partition,
 )
 from .classify import (
@@ -84,7 +84,7 @@ __all__ = [
     "support_matrix", "simplex_code_group", "support_rigidity_check",
     "counterexample_simplex", "CayleyPartition", "ConjectureReport",
     "is_null", "max_cayley_blocks", "validate_partition",
-    "cayley_upper_bound_distinct_halves", "recursive_decomposition",
+    "cayley_upper_bound_distinct_halves", "code_partition",
     "conjecture_report", "LatticeSimplex", "EhrhartTable",
     "hermite_normal_form", "smith_normal_form", "realize_vertices",
     "lambda_from_vertices", "count_lattice_points", "ehrhart_table",

@@ -265,47 +265,45 @@ def cayley_upper_bound_distinct_halves(G: LambdaGroup) -> int:
                for comp in _coordinate_components(G.e, supports))
 
 
-def _decomposition_blocks(m: int) -> list[list[int]]:
-    """Null blocks for the dimension-m half matrix, as column-vector labels."""
-    if m == 2:
-        return [[0b01, 0b10, 0b11]]
-    if m == 3:
-        return [[0b110, 0b101, 0b011], [0b111, 0b100, 0b010, 0b001]]
-    inner = _decomposition_blocks(m - 2)
-    shift = m - 2
+def code_partition(r: int) -> CayleyPartition:
+    """A maximum null partition of the dimension-(r+2) code group.
 
-    def lab(t: int, v: int) -> int:
-        return (t << shift) | v
-
-    out: list[list[int]] = []
-    for blk in inner:
-        if len(blk) == 3:
-            a, b, c = blk
-            # one vector from each of the three marked copies keeps the top
-            # two rows even while the lower rows sum as in the inner block
-            out.append([lab(3, a), lab(2, b), lab(1, c)])
-            out.append([lab(3, b), lab(2, c), lab(1, a)])
-            out.append([lab(3, c), lab(2, a), lab(1, b)])
-            out.append([lab(0, a), lab(0, b), lab(0, c)])
-        else:
-            for t in (3, 2, 1, 0):
-                out.append([lab(t, v) for v in blk])
-    out.append([lab(3, 0), lab(2, 0), lab(1, 0)])
-    return out
-
-
-def recursive_decomposition(r: int) -> CayleyPartition:
-    """Explicit null partition for the dimension-(r+2) code group.
-
-    Even r gives (2^(r+2)-1)/3 blocks of size 3; odd r gives c_r blocks of
-    size 3 and d_r of size 4 with c_1 = d_1 = 1, c_r = 4c_{r-2}+1 and
-    d_r = 4d_{r-2}.  Every block is validated against the generator rows.
+    Coordinate j is labelled by its column v of ``projective_matrix(r+2)``.
+    A block is null exactly when its labels sum to 0 in F_2^n, n = r + 2.
+    On each pair of bits, omega multiplies by a cube root of unity of F_4:
+    it has order 3, fixes no nonzero vector and 1 + omega + omega^2 = 0, so
+    its orbits are null 3-blocks.  For even n they are the partition.  For
+    odd n write v = (u, w) with w in F_8 = F_2[z]/(z^3 + z + 1) the low
+    three bits: the blocks are {(a, w), (omega a, zw), (omega^2 a, w + zw)}
+    for each orbit representative a and every w, the block {1, z, 1 + z}
+    of u = 0 and the 4-block of the other (0, w).  Either way there are
+    floor((2^n - 1)/3) blocks, which ``cayley_upper_bound_distinct_halves``
+    caps, so the partition is maximum.  Every block is validated against
+    the generator rows.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    m = r + 2
-    vec_blocks = _decomposition_blocks(m)
-    A = projective_matrix(m)
+    n = r + 2
+    shift = 3 * (n % 2)               # the bits of w; u takes the rest
+    low = ((1 << n - shift) - 1) // 3  # the low bit of every pair of u
+
+    def omega(u: int) -> int:
+        x0, x1 = u & low, u >> 1 & low
+        return x1 | (x0 ^ x1) << 1
+
+    tails = [(0, 0, 0)]
+    if shift:
+        for w in range(1, 8):
+            zw = w << 1 ^ (0b1011 if w & 0b100 else 0)  # z * w mod z^3+z+1
+            tails.append((w, zw, w ^ zw))
+    vec_blocks = [[a << shift | x, omega(a) << shift | y,
+                   omega(omega(a)) << shift | z]
+                  for a in range(1, 1 << n - shift)
+                  if a < omega(a) and a < omega(omega(a))
+                  for x, y, z in tails]
+    if shift:
+        vec_blocks += [[1, 2, 3], [4, 5, 6, 7]]
+    A = projective_matrix(n)
     col_of: dict[int, int] = {}
     for j in range(1, A.cols + 1):
         v = 0
@@ -314,22 +312,11 @@ def recursive_decomposition(r: int) -> CayleyPartition:
         col_of[v] = j
     blocks = tuple(sorted((frozenset(col_of[v] for v in blk)
                            for blk in vec_blocks), key=min))
-    rows = half_matrix(m)
+    rows = half_matrix(n)
     for blk in blocks:
         for row in rows:
             if sum(row.nums[i - 1] for i in blk) % row.den != 0:
                 raise RuntimeError("constructed block is not null")
-    sizes = sorted(len(b) for b in blocks)
-    if r % 2 == 0:
-        expected = ((1 << m) - 1) // 3
-        if len(blocks) != expected or sizes[-1] != 3:
-            raise RuntimeError("block census does not match the recursion")
-    else:
-        c, d = 1, 1
-        for _ in range((r - 1) // 2):
-            c, d = 4 * c + 1, 4 * d
-        if sizes.count(3) != c or sizes.count(4) != d:
-            raise RuntimeError("block census does not match the recursion")
     return CayleyPartition(blocks)
 
 

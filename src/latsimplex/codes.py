@@ -119,7 +119,7 @@ def counterexample_simplex(s: int,
     """
     if s < 2:
         raise ValueError("s must be at least 2")
-    exponents = [u for u in range(2 * s + 1) if (2 * s) >> u & 1]
+    exponents = [u for u in range((2 * s).bit_length()) if (2 * s) >> u & 1]
     exponents.reverse()
     G = simplex_code_group(exponents[0] + 1, max_order=max_order)
     for u in exponents[1:]:

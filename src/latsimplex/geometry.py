@@ -37,6 +37,9 @@ DEFAULT_MAX_DILATION = 20
 # the most points of the box a count may walk: every side but the last,
 # which is counted as an interval
 MAX_BOX_POINTS = 1 << 18
+# the most coordinates a realization may have; its lattice reduction grows
+# steeply with e
+MAX_REALIZE_COORDINATES = 32
 
 
 def _xgcd(a: int, b: int):
@@ -358,10 +361,16 @@ def realize_vertices(G: LambdaGroup) -> LatticeSimplex:
 
     Only the unimodular equivalence class (with the vertex order preserved)
     is pinned down; coordinates are skew reduced to keep dilations small.
+    A group on more than ``MAX_REALIZE_COORDINATES`` coordinates is refused
+    before any work.
     """
+    e = G.e
+    if e > MAX_REALIZE_COORDINATES:
+        raise BudgetExceeded(
+            f"realization is budgeted to e <= {MAX_REALIZE_COORDINATES} "
+            f"coordinates, not {e}")
     if not G.integer_sum:
         raise NonIntegralHeights("realization needs an integer-sum group")
-    e = G.e
     if e == 1:
         return LatticeSimplex(0, ((),))
     D = G.den

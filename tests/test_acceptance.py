@@ -18,6 +18,7 @@ from latsimplex import (
     SearchBudget,
     canonical_form,
     cayley_upper_bound_distinct_halves,
+    code_partition,
     count_lattice_points,
     counterexample_simplex,
     degree,
@@ -32,7 +33,6 @@ from latsimplex import (
     lambda_from_vertices,
     max_cayley_blocks,
     realize_vertices,
-    recursive_decomposition,
     simplex_code_group,
     support_rigidity_check,
     validate_partition,
@@ -93,18 +93,31 @@ def test_a3_counterexample_reproduction():
             assert degree(G) == s
             assert not is_lattice_pyramid(G)
             C, _ = max_cayley_blocks(G)
+            # a null block of a direct sum splits into null blocks of its
+            # parts, so C adds over the code groups B_{u+1}, 2^u in 2s
+            assert C == sum(len(code_partition(u - 1))
+                            for u in range(1, (2 * s).bit_length())
+                            if (2 * s) >> u & 1)
             assert G.e - 2 * s > C
             if s == 2:
                 assert (G.e - 2 * s) - C == 7 - 4 - 2 == 1
 
 
 def test_a4_modified_conjecture_values():
-    with criterion("A4", "modified-bound margins for r = 0..3"):
+    with criterion("A4", "modified-bound margins for r = 0..5"):
         margins = {}
         witnesses = {}
-        for r in range(4):
+        for r in range(6):
             G = simplex_code_group(r + 2)
-            C, witnesses[r] = max_cayley_blocks(G)
+            if r <= 3:
+                C, witnesses[r] = max_cayley_blocks(G)
+            else:
+                # past the solver's reach C is read from the certificate:
+                # a null partition with the floor(e/3) bound's block count
+                cert = code_partition(r)
+                assert validate_partition(G, cert)
+                C = cayley_upper_bound_distinct_halves(G)
+                assert len(cert) == C
             s = 1 << r
             d_plus_1 = (1 << (r + 2)) - 1
             margins[r] = C - d_plus_1 + (17 * s - 4) // 6
@@ -114,20 +127,20 @@ def test_a4_modified_conjecture_values():
         # coordinates (nine disjoint lines of PG(4, 2), a maximal partial
         # spread, and the 4 leftover points), so C >= 10.  A null block is
         # a zero-sum set of distinct nonzero columns of F_2^5, so it has at
-        # least 3 coordinates and C <= floor(31/3) = 10.  The size-3/size-4
-        # recursion reaches only 9 blocks.  The certificate is checked here
-        # against every group element, not taken from the solver.
-        assert margins == {0: 0, 1: 0, 2: 0, 3: 1}, margins
+        # least 3 coordinates and C <= floor(31/3) = 10.  Both the solver's
+        # witness and the constructed certificate are checked here against
+        # every group element.
+        assert margins == {0: 0, 1: 0, 2: 0, 3: 1, 4: 2, 5: 5}, margins
         G = simplex_code_group(5)
-        blocks = [sorted(b) for b in witnesses[3].blocks]
-        assert sorted(map(len, blocks)) == [3] * 9 + [4]
-        assert sorted(i for b in blocks for i in b) == list(range(1, 32))
-        assert all(is_null_all_elements(G, b) for b in blocks)
+        for blocks in (witnesses[3].block_lists(),
+                       code_partition(3).block_lists()):
+            assert sorted(map(len, blocks)) == [3] * 9 + [4]
+            assert sorted(i for b in blocks for i in b) == list(range(1, 32))
+            assert all(is_null_all_elements(G, b) for b in blocks)
         assert not any(is_null_all_elements(G, b)
                        for b in combinations(range(1, 32), 2))
         assert not any(is_null_all_elements(G, (i,)) for i in range(1, 32))
         assert cayley_upper_bound_distinct_halves(G) == 10
-        assert len(recursive_decomposition(3)) == 9
 
 
 def test_a5_bijection_round_trip():

@@ -14,13 +14,14 @@ from latsimplex import (
     ResidueVector,
     cayley_upper_bound_distinct_halves,
     close,
+    code_partition,
     conjecture_report,
     counterexample_simplex,
+    half_matrix,
     is_null,
     lambda_from_vertices,
     max_cayley_blocks,
     realize_vertices,
-    recursive_decomposition,
     simplex_code_group,
     trivial_group,
     validate_partition,
@@ -151,40 +152,40 @@ def test_upper_bound_dominates_solver():
         assert C <= cayley_upper_bound_distinct_halves(G)
 
 
-def test_recursive_decomposition_small():
-    part1 = recursive_decomposition(1)
+def test_code_partition_small():
+    part1 = code_partition(1)
     assert sorted(len(b) for b in part1.blocks) == [3, 4]
     assert validate_partition(simplex_code_group(3), part1)
-    part0 = recursive_decomposition(0)
+    part0 = code_partition(0)
     assert part0.block_lists() == [[1, 2, 3]]
 
 
-def test_recursive_decomposition_counts_and_validity():
-    expected_counts = {0: 1, 1: 2, 2: 5, 3: 9, 4: 21}
-    for r, count in expected_counts.items():
-        part = recursive_decomposition(r)
-        assert len(part) == count
-        G = simplex_code_group(r + 2)
-        assert validate_partition(G, part)
-        sizes = sorted(len(b) for b in part.blocks)
-        if r % 2 == 0:
-            assert sizes == [3] * (((1 << (r + 2)) - 1) // 3)
-        else:
-            c, d = 1, 1
-            for _ in range((r - 1) // 2):
-                c, d = 4 * c + 1, 4 * d
-            assert sizes == [3] * c + [4] * d
+def test_code_partition_counts_and_validity():
+    for r in range(10):
+        n = r + 2
+        e = (1 << n) - 1
+        part = code_partition(r)
+        blocks = part.block_lists()
+        assert sorted(i for b in blocks for i in b) == list(range(1, e + 1))
+        rows = half_matrix(n)
+        assert all(sum(row.nums[i - 1] for i in b) % 2 == 0
+                   for b in blocks for row in rows)
+        # floor(e/3) blocks: all lines for even n, one 4-block for odd n
+        assert len(part) == e // 3
+        assert sorted(map(len, blocks)) == [3] * (e // 3 - n % 2) \
+            + [4] * (n % 2)
+        if r <= 5:
+            G = simplex_code_group(n)
+            assert validate_partition(G, part)
+            assert len(part) == cayley_upper_bound_distinct_halves(G)
 
 
 def test_decomposition_within_solver_bounds():
-    for r in range(4):
+    for r in range(5):
         G = simplex_code_group(r + 2)
         C, _ = max_cayley_blocks(G)
-        lower = len(recursive_decomposition(r))
-        upper = cayley_upper_bound_distinct_halves(G)
-        assert lower <= C <= upper
-        if r % 2 == 0:
-            assert lower == C == upper
+        assert len(code_partition(r)) == C \
+            == cayley_upper_bound_distinct_halves(G)
 
 
 def test_conjecture_reports():
@@ -211,8 +212,8 @@ def test_modified_conjecture_values_on_the_family():
         assert not rep.modified_verdict.startswith("violates")
     assert values[1] == 0
     assert values[2] == (2 ** 1 - 2) // 3
-    # the exact solver beats the size-3/size-4 construction at r=3, so the
-    # margin there is strictly positive
+    # C = floor(e/3) for every r, one more block at r=3 than the modified
+    # bound's equality needs, so the margin there is strictly positive
     assert values[3] == 1
 
 

@@ -198,16 +198,26 @@ DOMAIN_ERROR_CASES = [
     ("box past the count budget", "budget-exceeded",
      json.dumps({"d": 2, "vertices": [[0, 0], [10 ** 6, 0], [0, 1]]}),
      ["ehrhart", "{path}", "--max-n", "2"]),
+    ("counterexample s 10^8", "group-too-large", None,
+     ["counterexample", "--s", "100000000"]),
+    ("counterexample s 10^9", "group-too-large", None,
+     ["counterexample", "--s", "1000000000"]),
+    ("realize past the coordinate budget", "budget-exceeded",
+     json.dumps({"e": 80, "den": 1, "generators": []}),
+     ["realize", "{path}"]),
 ]
 
 
 def test_domain_error_json_and_exit_code(capsys, tmp_path):
-    # one test over a case table, so the test keeps its single name
+    # one test over a case table, so the test keeps its single name; every
+    # case is refused before the work, so well within a second
     for i, (case, error, contents, argv) in enumerate(DOMAIN_ERROR_CASES):
         path = tmp_path / f"case{i}.json"
         if contents is not None:
             path.write_text(contents)
+        start = time.perf_counter()
         code, out = run_cli(capsys, *[a.format(path=path) for a in argv])
+        assert time.perf_counter() - start < 1, case
         assert code == 1, case
         obj = json.loads(out)
         assert list(obj) == ["error", "message"], case

@@ -22,6 +22,7 @@ from latsimplex import (
     smith_normal_form,
     trivial_group,
 )
+from latsimplex import geometry
 from latsimplex._kernels import count_box_points
 from latsimplex.errors import (
     BudgetExceeded,
@@ -150,6 +151,20 @@ def test_realize_requires_integer_sum():
     G = close([ResidueVector(2, (1, 0, 0))])
     with pytest.raises(NonIntegralHeights):
         realize_vertices(G)
+
+
+def test_realize_coordinate_budget_is_checked_before_the_work(monkeypatch):
+    # B_5 (e = 31, ``code --r 5``) is the largest realization promised
+    assert geometry.MAX_REALIZE_COORDINATES >= 31
+    monkeypatch.setattr(geometry, "MAX_REALIZE_COORDINATES", 7)
+    assert realize_vertices(simplex_code_group(3)).d == 6
+
+    def not_past_the_budget(*args, **kwargs):
+        raise AssertionError("work started past the coordinate budget")
+
+    monkeypatch.setattr(geometry, "hermite_normal_form", not_past_the_budget)
+    with pytest.raises(BudgetExceeded):
+        realize_vertices(trivial_group(8))
 
 
 def test_count_examples():
