@@ -11,6 +11,7 @@ carries its budget and is a bounded verification, never a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import _kernels
 from .codes import simplex_code_group
@@ -100,8 +101,19 @@ def enumerate_groups(budget: SearchBudget, s: int,
     supergroup, so a row y is emitted only when its whole extension <H, y>
     of the current group H has neither; only the order cap is left to the
     closure.  Untouched coordinates must stay reachable whenever full
-    support is eventually required.  ``node_budget`` bounds the number of
-    rows closed.
+    support is eventually required.
+
+    Once <H, y> is closed, every row y' of the same level with
+    <H, y'> = <H, y> (see ``_same_extension_rows``) is skipped without a
+    closure and counted in ``skippedRepeats``: closed, it would be a state
+    ``seen`` already holds with as many generator slots, so skipping it
+    changes nothing else.  ``dedupedStates`` counts the repeats that were
+    closed, those first met at another level.
+
+    ``node_budget`` bounds the number of candidate rows tried outside H,
+    skipped ones included.  A level whose candidate rows alone would pass
+    it is refused before its row list is complete, so the partial report
+    then holds only what was found before that level.
     """
     if s < 0:
         raise ValueError("degree must be nonnegative")
@@ -110,7 +122,8 @@ def enumerate_groups(budget: SearchBudget, s: int,
     max_h = s * D
     counters = {"closuresExamined": 0, "prunedByWeight": 0,
                 "prunedByDegree": 0, "prunedByOrder": 0,
-                "prunedBySupport": 0, "dedupedStates": 0}
+                "prunedBySupport": 0, "dedupedStates": 0,
+                "skippedRepeats": 0}
     found: dict[tuple, tuple[CanonicalForm, LambdaGroup]] = {}
     seen: dict[tuple, int] = {}
     zero_row = (0,) * e
@@ -189,6 +202,9 @@ def enumerate_groups(budget: SearchBudget, s: int,
         out = []
         row = [0] * e
         last = e - 1
+        # rows of H cost no node, every other row costs one: past this many
+        # rows the walk is bound to exceed its node budget
+        limit = node_budget - nodes + n
 
         def rec(j, acc, total, prev):
             table, lo = coords[j]
@@ -203,6 +219,10 @@ def enumerate_groups(budget: SearchBudget, s: int,
                 if a >= low:
                     row[j] = a
                     out.append(tuple(row))
+                    if len(out) > limit:
+                        raise BudgetExceeded(
+                            "enumeration exceeded the node budget",
+                            partial_report=make_report(False))
                 return
             for a in range(low, D):
                 nxt = acc + table[a]
@@ -212,15 +232,14 @@ def enumerate_groups(budget: SearchBudget, s: int,
         rec(0, spread * bias_pair, 0, 0)
         return out
 
-    def consider(rows_sel, elements):
+    def consider(rows_sel, elements, mask):
+        # ``mask``, the union of the rows' supports, is the group's support
+        if need_full and mask != full_mask:
+            return
         if max(sum(el) for el in elements) != s * D:
             return
         gen_rows = list(rows_sel) if rows_sel else [zero_row]
         G = _build(e, D, gen_rows, list(elements))
-        if require_full_support and not G.full_support:
-            return
-        if require_non_pyramid and is_lattice_pyramid(G):
-            return
         cf = canonical_form(G)
         key = (cf.den, cf.table)
         if key not in found:
@@ -242,6 +261,8 @@ def enumerate_groups(budget: SearchBudget, s: int,
             forced = full_mask & ~union_mask
         classes = column_classes(rows_sel)
         known = set(elements)
+        # rows whose extension of H this level has already closed
+        closed = set()
         for row in candidate_rows(elements, classes, forced):
             if row in known:
                 continue
@@ -249,11 +270,16 @@ def enumerate_groups(budget: SearchBudget, s: int,
             if nodes > node_budget:
                 raise BudgetExceeded("enumeration exceeded the node budget",
                                      partial_report=make_report(False))
+            if row in closed:
+                counters["skippedRepeats"] += 1
+                continue
             status, els = _kernels.extend_closure(
                 elements, row, e, D, budget.max_order)
             if status == _kernels.STATUS_TOO_LARGE:
                 counters["prunedByOrder"] += 1
                 continue
+            closed.update(_same_extension_rows(
+                elements, row, len(els) // len(elements), D))
             # states are deduplicated by their exact element table; a repeat
             # only matters if it now arrives with more generator slots left
             key = tuple(els)
@@ -267,12 +293,26 @@ def enumerate_groups(budget: SearchBudget, s: int,
             for i, a in enumerate(row):
                 if a:
                     mask |= 1 << i
-            consider(rows_sel + [row], els)
+            consider(rows_sel + [row], els, mask)
             walk(rows_sel + [row], els, mask)
 
-    consider([], [zero_row])
+    consider([], [zero_row], 0)
     walk([], [zero_row], 0)
     return make_report(True)
+
+
+def _same_extension_rows(elements, row, m, D):
+    """Every y' with <H, y'> = <H, y>, for H = ``elements`` and y = ``row``.
+
+    ``m`` = |<H, y>| / |H| is the order of y modulo H, and <H, y>/H is
+    cyclic, generated by y + H.  So y' generates the same extension exactly
+    when y' lies in t*y + H for some t with gcd(t, m) = 1.
+    """
+    for t in range(1, m):
+        if gcd(t, m) == 1:
+            ty = [t * a % D for a in row]
+            yield from (tuple((a + b) % D for a, b in zip(h, ty))
+                        for h in elements)
 
 
 @dataclass

@@ -221,6 +221,9 @@ def test_a8_bounded_search_verification():
             assert rep.status == "pass"
             assert all(cf.den <= 2 for cf in rep.found)
             assert "inconclusive beyond this budget" in rep.banner
+        # the s = 3 search finds exactly three classes, all half-integral
+        assert len(rep.found) == 3
+        assert all(cf.den == 2 for cf in rep.found)
 
 
 def test_a9_rigidity_check():

@@ -1,6 +1,7 @@
 """Bounded exhaustive searches and the dimension-bound records."""
 
 import random
+import time
 
 import pytest
 
@@ -44,7 +45,7 @@ SEARCH_BUDGETS = ((7, 6, 3, 2), (8, 6, 3, 2), (9, 3, 3, 3), (9, 2, 3, 3),
                   (8, 2, 3, 3), (11, 2, 4, 3), (11, 3, 3, 3), (10, 3, 3, 3),
                   (12, 2, 4, 3), (6, 2, 4, 3), (8, 4, 3, 2), (10, 2, 3, 3),
                   (8, 4, 2, 3), (9, 4, 3, 2))
-SAME_COUNTERS = ("closuresExamined", "dedupedStates", "prunedBySupport")
+SAME_COUNTERS = ("closuresExamined", "prunedBySupport")
 
 
 def _assert_same_walk(budget, s, **flags):
@@ -60,6 +61,9 @@ def _assert_same_walk(budget, s, **flags):
             == [[g.nums for g in G.generators] for G in ref.groups]), case
     for name in SAME_COUNTERS:
         assert ours.counters[name] == ref.counters[name], (case, name)
+    # the oracle closes the repeats this walk skips
+    assert (ours.counters["dedupedStates"] + ours.counters["skippedRepeats"]
+            == ref.counters["dedupedStates"]), case
     assert (ours.counters["prunedByOrder"]
             <= ref.counters["prunedByOrder"]), case
     assert ours.counters["prunedByWeight"] == 0, case
@@ -248,3 +252,41 @@ def test_enumeration_node_budget_carries_partial_report():
     partial = exc.value.partial_report
     assert partial is not None
     assert partial.complete is False
+
+
+def test_node_budget_bounds_row_generation():
+    """A level with more candidate rows than the budget allows is refused
+    before its row list is built."""
+    from latsimplex.errors import BudgetExceeded
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_groups(SearchBudget(16, 16, 1, 4096), 32, node_budget=1000)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.partial_report.complete is False
+
+
+def test_same_extension_rows_brute_force():
+    """The rows skipped after closing <H, y> are exactly the rows outside H
+    that close to the same extension."""
+    from itertools import product
+
+    from latsimplex._kernels import STATUS_OK, closure_table, extend_closure
+    from latsimplex.classify import _same_extension_rows
+
+    rng = random.Random(97)
+    checked = 0
+    while checked < 60:
+        e, den = rng.randint(1, 6), rng.randint(1, 6)
+        if den ** e > 1296:
+            continue
+        space = list(product(range(den), repeat=e))
+        gens = [rng.choice(space) for _ in range(rng.randint(0, 2))]
+        _, H = closure_table(gens, e, den, den ** e)
+        y = rng.choice(space)
+        _, ext = extend_closure(H, y, e, den, den ** e)
+        skipped = set(_same_extension_rows(H, y, len(ext) // len(H), den))
+        inside = set(H)
+        same = {z for z in space if z not in inside
+                and extend_closure(H, z, e, den, den ** e) == (STATUS_OK, ext)}
+        assert skipped == same, (e, den, gens, y)
+        checked += 1
