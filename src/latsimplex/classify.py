@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import _kernels
+from . import _kernels, groups
 from .codes import simplex_code_group
 from .errors import BudgetExceeded, HypothesesNotMet
 from .groups import (
@@ -112,7 +112,8 @@ def enumerate_groups(budget: SearchBudget, s: int,
 
     ``node_budget`` bounds the number of candidate rows tried outside H,
     skipped ones included.  A level whose candidate rows alone would pass
-    it is refused before its row list is complete, so the partial report
+    it, or would fill more than ``groups.MAX_TABLE_CELLS`` cells (e per
+    row), is refused before its row list is complete, so the partial report
     then holds only what was found before that level.
     """
     if s < 0:
@@ -203,8 +204,15 @@ def enumerate_groups(budget: SearchBudget, s: int,
         row = [0] * e
         last = e - 1
         # rows of H cost no node, every other row costs one: past this many
-        # rows the walk is bound to exceed its node budget
+        # rows the walk is bound to exceed its node budget.  The list itself
+        # holds at most as many cells as an element table.
         limit = node_budget - nodes + n
+        stop = "enumeration exceeded the node budget"
+        cells = groups.MAX_TABLE_CELLS
+        if cells // e < limit:
+            limit = cells // e
+            stop = (f"a level's candidate rows exceed the budget of {cells} "
+                    "table cells")
 
         def rec(j, acc, total, prev):
             table, lo = coords[j]
@@ -221,8 +229,7 @@ def enumerate_groups(budget: SearchBudget, s: int,
                     out.append(tuple(row))
                     if len(out) > limit:
                         raise BudgetExceeded(
-                            "enumeration exceeded the node budget",
-                            partial_report=make_report(False))
+                            stop, partial_report=make_report(False))
                 return
             for a in range(low, D):
                 nxt = acc + table[a]

@@ -132,6 +132,10 @@ def cmd_ehrhart(args) -> int:
         raise InvalidInput("--max-n must be nonnegative")
     obj = _read_json(args.simplex)
     try:
+        d = as_int(obj["d"])
+        # refuse before the degeneracy check, whose cost grows as d^3
+        geometry.check_count_budget(d, args.max_n, args.count_max_d,
+                                    args.count_max_n)
         simplex = geometry.LatticeSimplex.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(

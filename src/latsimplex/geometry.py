@@ -5,8 +5,9 @@ simplex by expressing the unit vectors in a basis of the overlattice the
 group defines, flattening the common affine hyperplane onto Z^d, and skew
 reducing the coordinates so box point counting stays within budget.
 ``lambda_from_vertices`` inverts the construction from the bordered vertex
-matrix.  All arithmetic is exact; matrices here are tiny, so the normal
-forms use plain integer eliminations with no modular tricks.
+matrix.  All arithmetic is exact.  Matrices here are tiny, so the normal
+forms, the determinant and the adjugate use integer eliminations with no
+modular tricks; only the lattice reduction's Gram-Schmidt uses fractions.
 """
 
 from __future__ import annotations
@@ -204,59 +205,35 @@ def smith_normal_form(mat):
     return tuple(map(tuple, A)), tuple(map(tuple, U)), tuple(map(tuple, V))
 
 
-def _det(mat) -> int:
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
+def _det_adjugate(mat):
+    """(det, adj) of a square integer matrix, or (0, None) if it is singular.
+
+    Integer-preserving Gauss-Jordan elimination (Bareiss) on [mat | I]: after
+    step k every entry is a minor of order k + 1 of the row-permuted
+    [mat | I], so each division is exact.  The last pivot is the
+    determinant of the permuted matrix and the right block its multiple of
+    the inverse; each row swap flips the sign of both.
+    """
+    n = len(mat)
+    a = [list(map(int, row)) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(mat)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if piv is None:
-                return 0
+                return 0, None
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def _fraction_inverse(mat):
-    n = len(mat)
-    a = [[Fraction(x) for x in row] +
-         [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise RankDeficient("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                fct = a[r][col]
-                a[r] = [x - fct * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def _adjugate(mat, det: int):
-    inv = _fraction_inverse(mat)
-    adj = []
-    for row in inv:
-        out = []
-        for x in row:
-            v = x * det
-            if v.denominator != 1:
-                raise RankDeficient("adjugate is not integral")
-            out.append(int(v))
-        adj.append(tuple(out))
-    return tuple(adj)
+        top = a[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def _dot(u, v):
@@ -328,14 +305,14 @@ class LatticeSimplex:
         for v in self.vertices:
             if len(v) != self.d:
                 raise ValueError("vertex length does not match the dimension")
-        if _det(self.bordered()) == 0:
+        if _det_adjugate(self.bordered())[0] == 0:
             raise DegenerateSimplex("vertices are affinely dependent")
 
     def bordered(self) -> list[list[int]]:
         return [list(v) + [1] for v in self.vertices]
 
     def normalized_volume(self) -> int:
-        return abs(_det(self.bordered()))
+        return abs(_det_adjugate(self.bordered())[0])
 
     def to_json(self) -> dict:
         return {"d": self.d, "vertices": [list(v) for v in self.vertices]}
@@ -378,13 +355,14 @@ def realize_vertices(G: LambdaGroup) -> LatticeSimplex:
     stack += [list(g.nums) for g in G.generators]
     H, _ = hermite_normal_form(stack)
     basis = [list(H[i]) for i in range(e)]
-    inv = _fraction_inverse(basis)
+    # the stack holds D * I, so the basis has full rank
+    det, adj = _det_adjugate(basis)
     verts_full = []
-    for i in range(e):
-        row = [D * x for x in inv[i]]
-        if any(x.denominator != 1 for x in row):
+    for row in adj:
+        row = [D * x for x in row]
+        if any(x % det for x in row):
             raise RankDeficient("unit vector is not integral in the overlattice")
-        verts_full.append([int(x) for x in row])
+        verts_full.append([x // det for x in row])
     base = verts_full[-1]
     edges = [[verts_full[i][j] - base[j] for j in range(e)]
              for i in range(e - 1)]
@@ -431,6 +409,13 @@ def lambda_from_vertices(simplex: LatticeSimplex,
     return close(gens, max_order=max_order)
 
 
+def check_count_budget(d: int, n: int, max_d: int, max_n: int) -> None:
+    """Refuse a count in dimension ``d`` at dilation ``n`` past the budget."""
+    if d > max_d or n > max_n:
+        raise BudgetExceeded(
+            f"counting is budgeted to d <= {max_d} and n <= {max_n}")
+
+
 def count_lattice_points(simplex: LatticeSimplex, n: int,
                          max_d: int = DEFAULT_MAX_COUNT_DIMENSION,
                          max_n: int = DEFAULT_MAX_DILATION,
@@ -446,9 +431,7 @@ def count_lattice_points(simplex: LatticeSimplex, n: int,
     """
     if n < 0:
         raise ValueError("dilation must be nonnegative")
-    if simplex.d > max_d or n > max_n:
-        raise BudgetExceeded(
-            f"counting is budgeted to d <= {max_d} and n <= {max_n}")
+    check_count_budget(simplex.d, n, max_d, max_n)
     if n == 0:
         return 0 if strict else 1
     if simplex.d == 0:
@@ -461,8 +444,7 @@ def count_lattice_points(simplex: LatticeSimplex, n: int,
             f"counting at n = {n} walks {walked} box points, more than "
             f"the budget of {MAX_BOX_POINTS}")
     bordered = simplex.bordered()
-    det = _det(bordered)
-    adj = _adjugate(bordered, det)
+    det, adj = _det_adjugate(bordered)
     det_sign = 1 if det > 0 else -1
     return _kernels.count_box_points(adj, det_sign, lows, highs, n, strict)
 
@@ -470,6 +452,8 @@ def count_lattice_points(simplex: LatticeSimplex, n: int,
 def ehrhart_table(simplex: LatticeSimplex, max_n: int,
                   max_d: int = DEFAULT_MAX_COUNT_DIMENSION,
                   budget_max_n: int = DEFAULT_MAX_DILATION) -> EhrhartTable:
+    """Counts at n = 0..max_n; a table past the budget is refused at once."""
+    check_count_budget(simplex.d, max_n, max_d, budget_max_n)
     counts = tuple(count_lattice_points(simplex, n, max_d=max_d,
                                         max_n=budget_max_n)
                    for n in range(max_n + 1))

@@ -76,19 +76,8 @@ class ResidueVector:
     def zero(cls, e: int, den: int = 1) -> "ResidueVector":
         return cls(den, (0,) * e)
 
-    @classmethod
-    def from_fractions(cls, values) -> "ResidueVector":
-        fracs = [Fraction(v) % 1 for v in values]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return cls(den, tuple(f.numerator * (den // f.denominator) for f in fracs))
-
     def entries(self) -> tuple[Residue, ...]:
         return tuple(Residue(n, self.den) for n in self.nums)
-
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def add(self, other: "ResidueVector") -> "ResidueVector":
         if self.e != other.e:

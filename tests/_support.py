@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from latsimplex import ResidueVector, close, is_lattice_pyramid
@@ -11,7 +12,7 @@ from latsimplex.classify import (
     ClassificationReport,
     SearchBudget,
 )
-from latsimplex.errors import BudgetExceeded, GroupTooLarge
+from latsimplex.errors import BudgetExceeded, GroupTooLarge, RankDeficient
 from latsimplex.groups import (
     CanonicalForm,
     LambdaGroup,
@@ -567,3 +568,70 @@ def reference_enumerate(budget: SearchBudget, s: int,
     consider([], [zero_row])
     walk([], [zero_row], 0)
     return make_report(True)
+
+
+# The determinant and adjugate as ``geometry`` computed them before its one
+# fraction-free elimination: a Bareiss determinant and a Fraction
+# Gauss-Jordan inverse scaled by it, kept verbatim as the oracle.
+
+def _det(mat) -> int:
+    a = [list(map(int, row)) for row in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _fraction_inverse(mat):
+    n = len(mat)
+    a = [[Fraction(x) for x in row] +
+         [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise RankDeficient("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                fct = a[r][col]
+                a[r] = [x - fct * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def _adjugate(mat, det: int):
+    inv = _fraction_inverse(mat)
+    adj = []
+    for row in inv:
+        out = []
+        for x in row:
+            v = x * det
+            if v.denominator != 1:
+                raise RankDeficient("adjugate is not integral")
+            out.append(int(v))
+        adj.append(tuple(out))
+    return tuple(adj)
+
+
+def oracle_det_adjugate(mat):
+    """``geometry._det_adjugate``'s answer, from the old arithmetic."""
+    det = _det(mat)
+    if det == 0:
+        return 0, None
+    return det, _adjugate(mat, det)

@@ -265,6 +265,17 @@ def test_node_budget_bounds_row_generation():
     assert exc.value.partial_report.complete is False
 
 
+def test_cell_budget_bounds_row_generation(monkeypatch):
+    """A level's row list holds at most as many cells as an element table,
+    even when the node budget would allow more rows."""
+    from latsimplex import groups
+    from latsimplex.errors import BudgetExceeded
+    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 16 * 100)
+    with pytest.raises(BudgetExceeded, match="table cells") as exc:
+        enumerate_groups(SearchBudget(16, 16, 1, 4096), 32)
+    assert exc.value.partial_report.complete is False
+
+
 def test_same_extension_rows_brute_force():
     """The rows skipped after closing <H, y> are exactly the rows outside H
     that close to the same extension."""

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import time
 from contextlib import redirect_stdout
 from unittest import mock
@@ -144,6 +145,12 @@ def test_outputs_are_byte_identical(capsys):
 
 
 # (case, expected error code, file contents or None, argv with {path})
+def _dense_simplex(d, seed):
+    rng = random.Random(seed)
+    return json.dumps({"d": d, "vertices": [
+        [rng.randint(-9, 9) for _ in range(d)] for _ in range(d + 1)]})
+
+
 DOMAIN_ERROR_CASES = [
     ("non-integral heights", "non-integral-heights",
      json.dumps({"e": 3, "den": 2, "generators": [[1, 0, 0]]}),
@@ -205,6 +212,14 @@ DOMAIN_ERROR_CASES = [
     ("realize past the coordinate budget", "budget-exceeded",
      json.dumps({"e": 80, "den": 1, "generators": []}),
      ["realize", "{path}"]),
+    # counting n = 0..20 alone would take seconds
+    ("wide dilation past the count budget", "budget-exceeded",
+     json.dumps({"d": 3, "vertices": [[0, 0, 0], [25, 0, 0], [0, 25, 0],
+                                      [0, 0, 1]]}),
+     ["ehrhart", "{path}", "--max-n", "21"]),
+    # its degeneracy check alone would take seconds
+    ("dense d 300", "budget-exceeded", _dense_simplex(300, 300),
+     ["ehrhart", "{path}", "--max-n", "2"]),
 ]
 
 

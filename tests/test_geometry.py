@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from _support import box_scan_count, random_integer_sum_group
+from _support import (
+    box_scan_count,
+    oracle_det_adjugate,
+    random_integer_sum_group,
+)
 from latsimplex import (
     LatticeSimplex,
     canonical_form,
@@ -30,7 +34,7 @@ from latsimplex.errors import (
     InconsistentCounts,
     NonIntegralHeights,
 )
-from latsimplex.geometry import _adjugate, _det
+from latsimplex.geometry import _det_adjugate
 
 CONV_220 = LatticeSimplex(2, ((0, 0), (2, 0), (0, 2)))
 
@@ -41,8 +45,7 @@ def _matmul(A, B):
 
 
 def _det2(M):
-    from latsimplex.geometry import _det
-    return _det(M)
+    return _det_adjugate(M)[0]
 
 
 def test_hnf_identity():
@@ -180,6 +183,15 @@ def test_count_budget():
         count_lattice_points(realize_vertices(simplex_code_group(4)), 1)
 
 
+def test_ehrhart_table_refuses_before_counting(monkeypatch):
+    def not_past_the_budget(*args, **kwargs):
+        raise AssertionError("counting started past the dilation budget")
+
+    monkeypatch.setattr(geometry, "count_lattice_points", not_past_the_budget)
+    with pytest.raises(BudgetExceeded):
+        ehrhart_table(CONV_220, 21)
+
+
 def test_h_star_from_counts_examples():
     assert h_star_from_counts([1, 6, 15], 2).as_list() == [1, 3]
     assert h_star_from_counts([1, 3, 6, 10], 2).as_list() == [1]
@@ -233,8 +245,27 @@ def test_oracle_equivalence_random_groups():
 
 def _adjugate_and_sign(simplex):
     bordered = simplex.bordered()
-    det = _det(bordered)
-    return _adjugate(bordered, det), 1 if det > 0 else -1
+    det, adj = _det_adjugate(bordered)
+    assert (det, adj) == oracle_det_adjugate(bordered)
+    return adj, 1 if det > 0 else -1
+
+
+def test_det_adjugate_matches_oracle():
+    """One elimination gives the old determinant and adjugate, and (0, None)
+    exactly when the matrix is singular."""
+    rng = random.Random(151)
+    for n in range(9):
+        for k in range(300):
+            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n >= 2 and k % 10 == 0:
+                src, dst = rng.sample(range(n), 2)
+                mat[dst] = list(mat[src])
+            det, adj = _det_adjugate(mat)
+            assert (det, adj) == oracle_det_adjugate(mat), mat
+            if n and det:
+                # adj @ mat = det * I
+                assert _matmul(adj, mat) == [
+                    [det * (r == c) for c in range(n)] for r in range(n)]
 
 
 def test_pruned_count_matches_box_scan():
@@ -262,7 +293,7 @@ def test_pruned_count_matches_box_scan():
         d = rng.randint(1, 4)
         verts = tuple(tuple(rng.randint(-3, 3) for _ in range(d))
                       for _ in range(d + 1))
-        if _det([list(v) + [1] for v in verts]) == 0:
+        if _det_adjugate([list(v) + [1] for v in verts])[0] == 0:
             continue
         lows = [rng.randint(-6, 4) for _ in range(d)]
         highs = [lo + rng.randint(-1, 6) for lo in lows]
