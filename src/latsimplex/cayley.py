@@ -366,7 +366,10 @@ def conjecture_report(G: LambdaGroup,
                             else "satisfies the Cayley conjecture")
     else:
         original_verdict = "not applicable (d <= 2s)"
-    if 6 * d > 17 * s - 4:
+    if s == 0:
+        # the bound floor((17s - 4)/6) = -1 would ask for C >= d + 2 blocks
+        modified_verdict = "not applicable (s = 0)"
+    elif 6 * d > 17 * s - 4:
         modified_verdict = ("violates the modified Cayley conjecture"
                             if modified_gap > 0
                             else "satisfies the modified Cayley conjecture")

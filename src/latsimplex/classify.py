@@ -113,8 +113,10 @@ def enumerate_groups(budget: SearchBudget, s: int,
     ``node_budget`` bounds the number of candidate rows tried outside H,
     skipped ones included.  A level whose candidate rows alone would pass
     it, or would fill more than ``groups.MAX_TABLE_CELLS`` cells (e per
-    row), is refused before its row list is complete, so the partial report
-    then holds only what was found before that level.
+    row), is refused before its row list is complete, and a level whose
+    probe tables would hold more fields than that (D (D - 1) |H| per column
+    class) before they are built; the partial report then holds only what
+    was found before that level.
     """
     if s < 0:
         raise ValueError("degree must be nonnegative")
@@ -181,6 +183,14 @@ def enumerate_groups(budget: SearchBudget, s: int,
         coordinate is fixed by integrality and not scanned.
         """
         n = len(elements)
+        # each class's D tables hold D - 1 blocks of |H| probe fields
+        cells = groups.MAX_TABLE_CELLS
+        need = len(classes) * D * (D - 1) * n
+        if need > cells:
+            raise BudgetExceeded(
+                f"a level's probe tables need {need} fields, more than the "
+                f"budget of {cells} table cells",
+                partial_report=make_report(False))
         block = n * pair
         spread = ((1 << (block * (D - 1))) - 1) // ((1 << pair) - 1)
         top = spread * top_pair
@@ -208,7 +218,6 @@ def enumerate_groups(budget: SearchBudget, s: int,
         # holds at most as many cells as an element table.
         limit = node_budget - nodes + n
         stop = "enumeration exceeded the node budget"
-        cells = groups.MAX_TABLE_CELLS
         if cells // e < limit:
             limit = cells // e
             stop = (f"a level's candidate rows exceed the budget of {cells} "

@@ -4,8 +4,11 @@
 simplex by expressing the unit vectors in a basis of the overlattice the
 group defines, flattening the common affine hyperplane onto Z^d, and skew
 reducing the coordinates so box point counting stays within budget.
-``lambda_from_vertices`` inverts the construction from the bordered vertex
-matrix.  All arithmetic is exact.  Matrices here are tiny, so the normal
+``lambda_from_vertices`` inverts the construction: the residue group is
+generated by the rows of the inverse of the bordered vertex matrix, taken
+mod 1.  A simplex keeps that matrix's determinant and adjugate from its
+one elimination, and its volume, residue group and point counts all read
+them.  All arithmetic is exact.  Matrices here are tiny, so the normal
 forms, the determinant and the adjugate use integer eliminations with no
 modular tricks; only the lattice reduction's Gram-Schmidt uses fractions.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 
 from . import _kernels
 from .errors import (
@@ -29,7 +32,6 @@ from .groups import (
     HStarPolynomial,
     LambdaGroup,
     close,
-    trivial_group,
 )
 from .residues import ResidueVector, as_int, int_rows
 
@@ -305,14 +307,18 @@ class LatticeSimplex:
         for v in self.vertices:
             if len(v) != self.d:
                 raise ValueError("vertex length does not match the dimension")
-        if _det_adjugate(self.bordered())[0] == 0:
+        det, adj = _det_adjugate(self.bordered())
+        if det == 0:
             raise DegenerateSimplex("vertices are affinely dependent")
+        # kept outside the fields, so equality, hashing and JSON ignore them
+        object.__setattr__(self, "_det", det)
+        object.__setattr__(self, "_adj", adj)
 
     def bordered(self) -> list[list[int]]:
         return [list(v) + [1] for v in self.vertices]
 
     def normalized_volume(self) -> int:
-        return abs(_det_adjugate(self.bordered())[0])
+        return abs(self._det)
 
     def to_json(self) -> dict:
         return {"d": self.d, "vertices": [list(v) for v in self.vertices]}
@@ -387,26 +393,16 @@ def realize_vertices(G: LambdaGroup) -> LatticeSimplex:
 
 def lambda_from_vertices(simplex: LatticeSimplex,
                          max_order: int = DEFAULT_MAX_ORDER) -> LambdaGroup:
-    """Residue group of a simplex, from the bordered vertex matrix."""
-    n = simplex.d + 1
-    S, U, _ = smith_normal_form(simplex.bordered())
-    diag = [S[i][i] for i in range(n)]
-    if any(x == 0 for x in diag):
-        raise DegenerateSimplex("vertices are affinely dependent")
-    L = 1
-    for x in diag:
-        L = lcm(L, x)
-    gens = []
-    for i in range(n):
-        s = diag[i]
-        if s == 1:
-            continue
-        k = L // s
-        gens.append(ResidueVector(L, tuple((U[i][j] * k) % L
-                                           for j in range(n))))
-    if not gens:
-        return trivial_group(n)
-    return close(gens, max_order=max_order)
+    """Residue group of a simplex: Z^(d+1) B^-1 / Z^(d+1).
+
+    x lies in it exactly when x @ B is integral, for B the bordered vertex
+    matrix, so it is generated by the rows of B^-1 = adj / det mod 1.
+    """
+    det = simplex._det
+    den = abs(det)
+    sign = 1 if det > 0 else -1
+    return close([ResidueVector(den, tuple(sign * x % den for x in row))
+                  for row in simplex._adj], max_order=max_order)
 
 
 def check_count_budget(d: int, n: int, max_d: int, max_n: int) -> None:
@@ -443,10 +439,9 @@ def count_lattice_points(simplex: LatticeSimplex, n: int,
         raise BudgetExceeded(
             f"counting at n = {n} walks {walked} box points, more than "
             f"the budget of {MAX_BOX_POINTS}")
-    bordered = simplex.bordered()
-    det, adj = _det_adjugate(bordered)
-    det_sign = 1 if det > 0 else -1
-    return _kernels.count_box_points(adj, det_sign, lows, highs, n, strict)
+    det_sign = 1 if simplex._det > 0 else -1
+    return _kernels.count_box_points(simplex._adj, det_sign, lows, highs, n,
+                                     strict)
 
 
 def ehrhart_table(simplex: LatticeSimplex, max_n: int,

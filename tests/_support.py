@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
+from math import lcm
 
 from latsimplex import ResidueVector, close, is_lattice_pyramid
 from latsimplex._kernels import STATUS_OK, STATUS_TOO_LARGE
@@ -12,13 +13,21 @@ from latsimplex.classify import (
     ClassificationReport,
     SearchBudget,
 )
-from latsimplex.errors import BudgetExceeded, GroupTooLarge, RankDeficient
+from latsimplex.errors import (
+    BudgetExceeded,
+    DegenerateSimplex,
+    GroupTooLarge,
+    RankDeficient,
+)
+from latsimplex.geometry import LatticeSimplex, smith_normal_form
 from latsimplex.groups import (
+    DEFAULT_MAX_ORDER,
     CanonicalForm,
     LambdaGroup,
     _build,
     canonical_form,
     degree,
+    trivial_group,
 )
 
 _STATUS_WEIGHT = 2
@@ -280,51 +289,43 @@ def bfs_closure(gens, e, den, cap):
     return STATUS_OK, sorted(seen)
 
 
-def box_scan_count(adj, det_sign, lows, highs, n, strict=False):
+def box_scan_counts(adj, det_sign, lows, highs, n):
     """Slow oracle for ``_kernels.count_box_points``: visit every box point.
 
-    Same arguments and result; each point of the box is tested on its own,
-    with no pruning, by the sign of ``det_sign * (p, n) @ adj``.
+    Same arguments but ``strict``; returns the closed and the strict count
+    from one scan.  Each point of the box is tested on its own, with no
+    pruning, by the least entry of ``det_sign * (p, n) @ adj``.
     """
     d = len(lows)
-    m = d + 1
-    rows = [tuple(det_sign * x for x in row) for row in adj]
     if d == 0:
-        return 1
-    for j in range(d):
-        if lows[j] > highs[j]:
-            return 0
+        return 1, 1
+    if any(lo > hi for lo, hi in zip(lows, highs)):
+        return 0, 0
+    rows = [[det_sign * x for x in row] for row in adj]
     # t holds det_sign * (p, n) @ adj for the current point p.
-    t = [n * rows[d][i] for i in range(m)]
-    for j in range(d):
-        lj = lows[j]
-        for i in range(m):
-            t[i] += lj * rows[j][i]
+    t = [n * x for x in rows[d]]
+    for lj, row in zip(lows, rows):
+        t = [a + lj * b for a, b in zip(t, row)]
     pos = list(lows)
-    count = 0
+    closed = strict = 0
     while True:
-        if strict:
-            ok = all(x > 0 for x in t)
-        else:
-            ok = all(x >= 0 for x in t)
-        if ok:
-            count += 1
+        least = min(t)
+        if least >= 0:
+            closed += 1
+            if least > 0:
+                strict += 1
         k = 0
         while k < d:
             if pos[k] < highs[k]:
                 pos[k] += 1
-                rk = rows[k]
-                for i in range(m):
-                    t[i] += rk[i]
+                t = [a + b for a, b in zip(t, rows[k])]
                 break
             span = highs[k] - lows[k]
             pos[k] = lows[k]
-            rk = rows[k]
-            for i in range(m):
-                t[i] -= span * rk[i]
+            t = [a - span * b for a, b in zip(t, rows[k])]
             k += 1
         else:
-            return count
+            return closed, strict
 
 
 def _limited_extend_closure(prev, row, e, den, cap, max_weight=-1,
@@ -635,3 +636,42 @@ def oracle_det_adjugate(mat):
     if det == 0:
         return 0, None
     return det, _adjugate(mat, det)
+
+
+def smith_lambda_from_vertices(simplex: LatticeSimplex,
+                               max_order: int = DEFAULT_MAX_ORDER
+                               ) -> LambdaGroup:
+    """Slow oracle for ``geometry.lambda_from_vertices``: the residue group
+    read from the Smith normal form of the bordered vertex matrix, as
+    ``geometry`` computed it before it kept the bordered inverse."""
+    n = simplex.d + 1
+    S, U, _ = smith_normal_form(simplex.bordered())
+    diag = [S[i][i] for i in range(n)]
+    if any(x == 0 for x in diag):
+        raise DegenerateSimplex("vertices are affinely dependent")
+    L = 1
+    for x in diag:
+        L = lcm(L, x)
+    gens = []
+    for i in range(n):
+        s = diag[i]
+        if s == 1:
+            continue
+        k = L // s
+        gens.append(ResidueVector(L, tuple((U[i][j] * k) % L
+                                           for j in range(n))))
+    if not gens:
+        return trivial_group(n)
+    return close(gens, max_order=max_order)
+
+
+def brute_canonical_key(G: LambdaGroup):
+    """Slow oracle for ``canonical_form``: the denominator and the least
+    sorted element table over every coordinate permutation.
+
+    Two groups on the same coordinates differ by a permutation exactly when
+    their keys are equal.  The cost is e! sorts, so keep e small.
+    """
+    return G.den, min(tuple(sorted(tuple(el[c] for c in perm)
+                                   for el in G.elements))
+                      for perm in permutations(range(G.e)))

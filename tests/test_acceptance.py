@@ -13,6 +13,7 @@ from _support import (
     is_null_all_elements,
     random_integer_sum_group,
     random_non_pyramid_group,
+    smith_lambda_from_vertices,
 )
 from latsimplex import (
     SearchBudget,
@@ -152,8 +153,13 @@ def test_a5_bijection_round_trip():
                                              max_order=48)
                     for _ in range(200)]
         for G in targets:
-            recovered = lambda_from_vertices(realize_vertices(G))
+            simplex = realize_vertices(G)
+            recovered = lambda_from_vertices(simplex)
             assert canonical_form(recovered) == canonical_form(G)
+            # the Smith normal form gives the same group, element for element
+            ref = smith_lambda_from_vertices(simplex)
+            assert (recovered.den, recovered.elements) == \
+                (ref.den, ref.elements)
 
 
 def test_a6_ehrhart_oracle_equivalence():

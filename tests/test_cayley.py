@@ -217,6 +217,17 @@ def test_modified_conjecture_values_on_the_family():
     assert values[3] == 1
 
 
+def test_degree_zero_is_no_modified_counterexample():
+    # a unimodular simplex has s = 0 and C = d + 1; the modified bound
+    # floor((17s - 4)/6) = -1 would ask for d + 2 blocks
+    for e in (1, 2, 5):
+        rep = conjecture_report(trivial_group(e))
+        assert (rep.d, rep.s, rep.cayley_number) == (e - 1, 0, e)
+        assert (rep.modified_bound, rep.modified_gap) == (-1, 1)
+        assert rep.modified_verdict == "not applicable (s = 0)"
+        assert not rep.original_verdict.startswith("violates")
+
+
 def test_realize_then_project_keeps_witness_valid():
     for G in (simplex_code_group(2), simplex_code_group(3),
               counterexample_simplex(3)):

@@ -276,6 +276,21 @@ def test_cell_budget_bounds_row_generation(monkeypatch):
     assert exc.value.partial_report.complete is False
 
 
+def test_cell_budget_bounds_probe_tables(monkeypatch):
+    """A level whose probe tables would pass the cell budget is refused
+    before they are built, after the earlier levels ran."""
+    from latsimplex import groups
+    from latsimplex.errors import BudgetExceeded
+    # the first level's tables hold 6 * 5 fields, a later level's more
+    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 6 * 5)
+    with pytest.raises(BudgetExceeded, match="probe tables") as exc:
+        enumerate_groups(SearchBudget(3, 6, 3, 512), 1)
+    assert "budget of 30 table cells" in str(exc.value)
+    partial = exc.value.partial_report
+    assert partial.complete is False
+    assert partial.counters["closuresExamined"] >= 1
+
+
 def test_same_extension_rows_brute_force():
     """The rows skipped after closing <H, y> are exactly the rows outside H
     that close to the same extension."""

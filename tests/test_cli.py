@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 from contextlib import redirect_stdout
 from unittest import mock
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latsimplex
 from latsimplex import cli
 
 
@@ -95,6 +100,15 @@ def test_counterexample_conjecture_pipeline(capsys, tmp_path):
     assert code == 0
     assert obj["originalGap"] == 1
     assert obj["verdicts"]["original"] == "violates the Cayley conjecture"
+
+
+def test_conjecture_on_the_trivial_group(capsys, tmp_path):
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"e": 2, "den": 1, "generators": []}))
+    code, obj = run_json(capsys, "conjecture", str(path))
+    assert code == 0
+    assert obj["verdicts"] == {"original": "satisfies the Cayley conjecture",
+                               "modified": "not applicable (s = 0)"}
 
 
 def test_realize_and_ehrhart_pipeline(capsys, tmp_path):
@@ -217,6 +231,10 @@ DOMAIN_ERROR_CASES = [
      json.dumps({"d": 3, "vertices": [[0, 0, 0], [25, 0, 0], [0, 25, 0],
                                       [0, 0, 1]]}),
      ["ehrhart", "{path}", "--max-n", "21"]),
+    # its probe tables alone would take hours
+    ("classify den 10^5", "budget-exceeded", None,
+     ["classify", "--e", "2", "--degree", "1", "--max-den", "100000",
+      "--max-gen", "1", "--max-order", "100000"]),
     # its degeneracy check alone would take seconds
     ("dense d 300", "budget-exceeded", _dense_simplex(300, 300),
      ["ehrhart", "{path}", "--max-n", "2"]),
@@ -343,6 +361,22 @@ def test_cayley_partition_deeper_than_the_recursion_limit(capsys, tmp_path):
     assert code == 0
     assert obj["C"] == 1200
     assert obj["partition"] == [[i] for i in range(1, 1201)]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(latsimplex.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def run(module):
+        return subprocess.run([sys.executable, "-m", module, "code", "--r",
+                               "2"], capture_output=True, text=True,
+                              env=env, check=True).stdout
+
+    out = run("latsimplex")
+    assert json.loads(out)["e"] == 3
+    assert out == run("latsimplex.cli")
 
 
 def test_usage_error_exit_code():

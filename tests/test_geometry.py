@@ -1,13 +1,15 @@
 """Normal forms, realization round trips and the counting oracle."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 
 from _support import (
-    box_scan_count,
+    box_scan_counts,
     oracle_det_adjugate,
     random_integer_sum_group,
+    smith_lambda_from_vertices,
 )
 from latsimplex import (
     LatticeSimplex,
@@ -122,19 +124,26 @@ def test_lambda_from_vertices_examples():
 
 
 def test_lambda_order_matches_determinant():
-    rng = random.Random(12)
-    for _ in range(30):
-        d = rng.randint(1, 3)
-        while True:
-            verts = tuple(tuple(rng.randint(-3, 3) for _ in range(d))
-                          for _ in range(d + 1))
-            try:
-                simplex = LatticeSimplex(d, verts)
-                break
-            except DegenerateSimplex:
-                continue
+    """The bordered inverse gives the Smith normal form's residue group,
+    element for element, of order |det|, on negative, positive and unit
+    determinants."""
+    rng = random.Random(59)
+    dets = []
+    while len(dets) < 300:
+        d = rng.randint(0, 4)
+        verts = tuple(tuple(rng.randint(-3, 3) for _ in range(d))
+                      for _ in range(d + 1))
+        try:
+            simplex = LatticeSimplex(d, verts)
+        except DegenerateSimplex:
+            continue
+        dets.append(simplex._det)
         G = lambda_from_vertices(simplex)
+        ref = smith_lambda_from_vertices(simplex)
+        assert (G.den, G.elements) == (ref.den, ref.elements), simplex
         assert G.order == simplex.normalized_volume()
+    assert min(dets) < -1 and max(dets) > 1
+    assert -1 in dets and 1 in dets
 
 
 def test_realize_vertices_examples():
@@ -244,9 +253,9 @@ def test_oracle_equivalence_random_groups():
 
 
 def _adjugate_and_sign(simplex):
-    bordered = simplex.bordered()
-    det, adj = _det_adjugate(bordered)
-    assert (det, adj) == oracle_det_adjugate(bordered)
+    # the (det, adj) the simplex kept from its construction
+    det, adj = simplex._det, simplex._adj
+    assert (det, adj) == oracle_det_adjugate(simplex.bordered())
     return adj, 1 if det > 0 else -1
 
 
@@ -279,13 +288,13 @@ def test_pruned_count_matches_box_scan():
     for G in targets:
         simplex = realize_vertices(G)
         verts = simplex.vertices
+        adj_sign = _adjugate_and_sign(simplex)
         for n in range(simplex.d + 2):
             lows = [n * min(v[j] for v in verts) for j in range(simplex.d)]
             highs = [n * max(v[j] for v in verts) for j in range(simplex.d)]
-            args = (*_adjugate_and_sign(simplex), lows, highs)
-            for strict in (False, True):
-                assert count_box_points(*args, n, strict) == \
-                    box_scan_count(*args, n, strict)
+            args = (*adj_sign, lows, highs, n)
+            assert (count_box_points(*args, False),
+                    count_box_points(*args, True)) == box_scan_counts(*args)
     # boxes that cut the dilation, miss it or are empty
     rng = random.Random(41)
     checked = 0
@@ -297,12 +306,45 @@ def test_pruned_count_matches_box_scan():
             continue
         lows = [rng.randint(-6, 4) for _ in range(d)]
         highs = [lo + rng.randint(-1, 6) for lo in lows]
-        args = (*_adjugate_and_sign(LatticeSimplex(d, verts)), lows, highs)
         n = rng.randint(0, 3)
+        args = (*_adjugate_and_sign(LatticeSimplex(d, verts)), lows, highs, n)
         strict = rng.random() < 0.5
-        assert count_box_points(*args, n, strict) == \
-            box_scan_count(*args, n, strict)
+        assert count_box_points(*args, strict) == \
+            box_scan_counts(*args)[strict]
         checked += 1
+
+
+def test_simplex_runs_one_elimination(monkeypatch):
+    """Construction runs the only elimination; volume, residue group and
+    counts read what it kept, and no normal form is computed."""
+    calls = []
+
+    def counted(mat):
+        calls.append(len(mat))
+        return _det_adjugate(mat)
+
+    def no_normal_form(*args, **kwargs):
+        raise AssertionError("a normal form was computed")
+
+    monkeypatch.setattr(geometry, "_det_adjugate", counted)
+    monkeypatch.setattr(geometry, "smith_normal_form", no_normal_form)
+    monkeypatch.setattr(geometry, "hermite_normal_form", no_normal_form)
+    simplex = LatticeSimplex(2, ((0, 0), (2, 0), (0, 2)))
+    assert calls == [3]
+    assert simplex.normalized_volume() == 4
+    assert lambda_from_vertices(simplex).order == 4
+    assert ehrhart_table(simplex, 4).counts == (1, 6, 15, 28, 45)
+    assert min_interior_dilation(simplex) == 2
+    assert calls == [3]
+
+
+def test_kept_elimination_is_not_a_field():
+    # equality, hashing, repr and asdict see only d and the vertices
+    simplex = LatticeSimplex(2, ((0, 0), (2, 0), (0, 2)))
+    assert simplex == CONV_220 and hash(simplex) == hash(CONV_220)
+    assert asdict(simplex) == {"d": 2, "vertices": ((0, 0), (2, 0), (0, 2))}
+    assert repr(simplex) == \
+        "LatticeSimplex(d=2, vertices=((0, 0), (2, 0), (0, 2)))"
 
 
 def test_degree_via_interior_points():

@@ -7,6 +7,7 @@ import pytest
 from _support import (
     all_greedy_cover_size_sequences,
     bfs_closure,
+    brute_canonical_key,
     random_integer_sum_group,
     random_non_pyramid_group,
 )
@@ -295,6 +296,35 @@ def test_canonical_form_permutation_invariance():
         permuted = close([ResidueVector(G.den, tuple(g.nums[p] for p in perm))
                           for g in G.generators])
         assert canonical_form(permuted) == canonical_form(G)
+
+
+def test_canonical_form_matches_brute_force_key():
+    """Forms survive random coordinate permutations, and two groups with
+    equal (e, den, order) get equal forms exactly when the least sorted
+    tables over all permutations are equal."""
+    rng = random.Random(71)
+    corpus = [simplex_code_group(2), simplex_code_group(3)]
+    corpus += [random_integer_sum_group(rng, e_max=6, den_max=4,
+                                        max_order=32, e_min=1)
+               for _ in range(300)]
+    buckets = {}
+    for G in corpus:
+        perm = list(range(G.e))
+        rng.shuffle(perm)
+        permuted = close([ResidueVector(G.den, tuple(g.nums[p] for p in perm))
+                          for g in G.generators])
+        cf = canonical_form(G)
+        assert canonical_form(permuted) == cf
+        key = brute_canonical_key(G)
+        buckets.setdefault((G.e, G.den, G.order), []).append((cf, key))
+    pairs = equal = 0
+    for entries in buckets.values():
+        for i, (cf1, key1) in enumerate(entries):
+            for cf2, key2 in entries[i + 1:]:
+                assert (cf1 == cf2) == (key1 == key2)
+                pairs += 1
+                equal += key1 == key2
+    assert pairs > 1000 and 0 < equal < pairs
 
 
 def test_canonical_form_examples():
