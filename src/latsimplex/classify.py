@@ -60,7 +60,6 @@ class SearchBudget:
 class ClassificationReport:
     budget: SearchBudget
     target_degree: int
-    require_full_support: bool
     require_non_pyramid: bool
     found: list[CanonicalForm]
     groups: list[LambdaGroup]
@@ -75,7 +74,6 @@ class ClassificationReport:
         return {
             "budget": self.budget.to_json(),
             "targetDegree": self.target_degree,
-            "requireFullSupport": self.require_full_support,
             "requireNonPyramid": self.require_non_pyramid,
             "found": [cf.to_json() for cf in self.found],
             "counters": dict(self.counters),
@@ -85,7 +83,6 @@ class ClassificationReport:
 
 
 def enumerate_groups(budget: SearchBudget, s: int,
-                     require_full_support: bool = False,
                      require_non_pyramid: bool = True,
                      node_budget: int = DEFAULT_NODE_BUDGET
                      ) -> ClassificationReport:
@@ -131,7 +128,7 @@ def enumerate_groups(budget: SearchBudget, s: int,
     seen: dict[tuple, int] = {}
     zero_row = (0,) * e
     full_mask = (1 << e) - 1
-    need_full = require_full_support or (require_non_pyramid and e > 1)
+    need_full = require_non_pyramid and e > 1
     nodes = 0
     # Each probe t*y + h keeps its weight and its height in two biased
     # fields of ``width`` bits; a field's top bit is set once its partial
@@ -149,7 +146,6 @@ def enumerate_groups(budget: SearchBudget, s: int,
         forms = sorted(found.values(), key=lambda fg: (fg[0].den, fg[0].table))
         return ClassificationReport(
             budget=budget, target_degree=s,
-            require_full_support=require_full_support,
             require_non_pyramid=require_non_pyramid,
             found=[cf for cf, _ in forms],
             groups=[g for _, g in forms],

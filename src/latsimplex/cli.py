@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import cayley, classify, codes, geometry, groups
-from .errors import InvalidInput, LatSimplexError
+from .errors import BudgetExceeded, InvalidInput, LatSimplexError
 from .residues import ResidueVector, as_int, int_rows
 
 
@@ -134,15 +134,15 @@ def cmd_ehrhart(args) -> int:
     try:
         d = as_int(obj["d"])
         # refuse before the degeneracy check, whose cost grows as d^3
-        geometry.check_count_budget(d, args.max_n, args.count_max_d,
-                                    args.count_max_n)
+        if d > geometry.MAX_BOX_POINTS.bit_length():
+            raise BudgetExceeded(
+                f"a {d}-simplex walks at least 2^{d - 1} box points, more "
+                f"than the budget of {geometry.MAX_BOX_POINTS}")
         simplex = geometry.LatticeSimplex.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(
             f"malformed simplex JSON: {type(exc).__name__}: {exc}") from exc
-    table = geometry.ehrhart_table(simplex, args.max_n,
-                                   max_d=args.count_max_d,
-                                   budget_max_n=args.count_max_n)
+    table = geometry.ehrhart_table(simplex, args.max_n)
     hstar = None
     if args.max_n >= simplex.d:
         hstar = geometry.h_star_from_counts(table, simplex.d).as_list()
@@ -157,8 +157,7 @@ def cmd_classify(args) -> int:
                                    max_order=args.max_order)
     report = classify.enumerate_groups(
         budget, args.degree,
-        require_non_pyramid=not args.allow_pyramid,
-        require_full_support=args.require_full_support)
+        require_non_pyramid=not args.allow_pyramid)
     _emit(report.to_json())
     return 0
 
@@ -300,10 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ehrhart", help="dilation point counts for a simplex")
     p.add_argument("simplex", help="simplex JSON file, or - for stdin")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--count-max-d", type=int,
-                   default=geometry.DEFAULT_MAX_COUNT_DIMENSION)
-    p.add_argument("--count-max-n", type=int,
-                   default=geometry.DEFAULT_MAX_DILATION)
     p.set_defaults(func=cmd_ehrhart)
 
     p = sub.add_parser("classify", help="bounded exhaustive group search")
@@ -312,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-den", type=int, required=True)
     p.add_argument("--max-gen", type=int, required=True)
     p.add_argument("--allow-pyramid", action="store_true")
-    p.add_argument("--require-full-support", action="store_true")
     p.add_argument("--max-order", type=int, default=4096)
     p.set_defaults(func=cmd_classify)
 

@@ -8,9 +8,11 @@ reducing the coordinates so box point counting stays within budget.
 generated by the rows of the inverse of the bordered vertex matrix, taken
 mod 1.  A simplex keeps that matrix's determinant and adjugate from its
 one elimination, and its volume, residue group and point counts all read
-them.  All arithmetic is exact.  Matrices here are tiny, so the normal
-forms, the determinant and the adjugate use integer eliminations with no
-modular tricks; only the lattice reduction's Gram-Schmidt uses fractions.
+them.  Point counting has one budget, the box points its counts walk
+(``MAX_BOX_POINTS``), which also bounds the dimension that can be counted.
+All arithmetic is exact.  Matrices here are tiny, so the normal forms, the
+determinant and the adjugate use integer eliminations with no modular
+tricks; only the lattice reduction's Gram-Schmidt uses fractions.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from .groups import (
 )
 from .residues import ResidueVector, as_int, int_rows
 
-DEFAULT_MAX_COUNT_DIMENSION = 8
-DEFAULT_MAX_DILATION = 20
 # the most points of the box a count may walk: every side but the last,
-# which is counted as an interval
+# which is counted as an interval.  A d-simplex spans at least 1 in every
+# coordinate, so it walks at least 2^(d-1) points at n >= 1, and no
+# d > MAX_BOX_POINTS.bit_length() can be counted.
 MAX_BOX_POINTS = 1 << 18
 # the most coordinates a realization may have; its lattice reduction grows
 # steeply with e
@@ -63,6 +65,35 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _sweep(rows, mates, top: int, c: int) -> bool:
+    """Clear column ``c`` below row ``top`` by row operations.
+
+    An entry the pivot divides is reduced away, which leaves the pivot row
+    untouched; any other is combined with the pivot row by the unimodular
+    2x2 step of its extended gcd, which changes the pivot.  ``mates`` gets
+    the same operations.  Returns whether any pivot row changed.
+    """
+    changed = False
+    for i in range(top + 1, len(rows)):
+        b = rows[i][c]
+        if b == 0:
+            continue
+        a = rows[top][c]
+        if b % a == 0:
+            q = b // a
+            for mat in (rows, mates):
+                mat[i] = [v - q * u for u, v in zip(mat[top], mat[i])]
+            continue
+        g, x, y = _xgcd(a, b)
+        p, q = -(b // g), a // g
+        for mat in (rows, mates):
+            t, r = mat[top], mat[i]
+            mat[top] = [x * u + y * v for u, v in zip(t, r)]
+            mat[i] = [p * u + q * v for u, v in zip(t, r)]
+        changed = True
+    return changed
+
+
 def hermite_normal_form(mat):
     """Row-style Hermite normal form: returns (H, U) with H = U @ mat.
 
@@ -82,25 +113,7 @@ def hermite_normal_form(mat):
             continue
         rows[r0], rows[piv] = rows[piv], rows[r0]
         U[r0], U[piv] = U[piv], U[r0]
-        for i in range(r0 + 1, m):
-            b = rows[i][c]
-            if b == 0:
-                continue
-            a = rows[r0][c]
-            if b % a == 0:
-                # plain reduction keeps the pivot row untouched
-                q = b // a
-                rows[i] = [u - q * v for u, v in zip(rows[i], rows[r0])]
-                U[i] = [u - q * v for u, v in zip(U[i], U[r0])]
-                continue
-            g, x, y = _xgcd(a, b)
-            p, q = -(b // g), a // g
-            new_top = [x * u + y * v for u, v in zip(rows[r0], rows[i])]
-            new_bot = [p * u + q * v for u, v in zip(rows[r0], rows[i])]
-            rows[r0], rows[i] = new_top, new_bot
-            new_top = [x * u + y * v for u, v in zip(U[r0], U[i])]
-            new_bot = [p * u + q * v for u, v in zip(U[r0], U[i])]
-            U[r0], U[i] = new_top, new_bot
+        _sweep(rows, U, r0, c)
         if rows[r0][c] < 0:
             rows[r0] = [-x for x in rows[r0]]
             U[r0] = [-x for x in U[r0]]
@@ -118,29 +131,13 @@ def smith_normal_form(mat):
     """Smith normal form: returns (S, U, V) with S = U @ mat @ V diagonal.
 
     Diagonal entries are nonnegative and form a divisibility chain; U and V
-    are unimodular.
+    are unimodular.  Columns are cleared as the rows of the transposes.
     """
     A = [list(map(int, row)) for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
     U = _identity(m)
-    V = _identity(n)
-
-    def row_combine(i, j, a, b, c, d):
-        ri = [a * p + b * q for p, q in zip(A[i], A[j])]
-        rj = [c * p + d * q for p, q in zip(A[i], A[j])]
-        A[i], A[j] = ri, rj
-        ri = [a * p + b * q for p, q in zip(U[i], U[j])]
-        rj = [c * p + d * q for p, q in zip(U[i], U[j])]
-        U[i], U[j] = ri, rj
-
-    def col_combine(i, j, a, b, c, d):
-        for row in (A, V):
-            for r in row:
-                p, q = r[i], r[j]
-                r[i] = a * p + b * q
-                r[j] = c * p + d * q
-
+    Vt = _identity(n)  # V transposed: a column operation is a row one
     for t in range(min(m, n)):
         piv = None
         for i in range(t, m):
@@ -150,61 +147,31 @@ def smith_normal_form(mat):
                     piv = (i, j)
         if piv is None:
             break
-        if piv[0] != t:
-            A[t], A[piv[0]] = A[piv[0]], A[t]
-            U[t], U[piv[0]] = U[piv[0]], U[t]
-        if piv[1] != t:
-            for row in (A, V):
-                for r in row:
-                    r[t], r[piv[1]] = r[piv[1]], r[t]
+        i, j = piv
+        A[t], A[i] = A[i], A[t]
+        U[t], U[i] = U[i], U[t]
+        for r in A:
+            r[t], r[j] = r[j], r[t]
+        Vt[t], Vt[j] = Vt[j], Vt[t]
         while True:
-            clean = True
-            for i in range(t + 1, m):
-                b = A[i][t]
-                if b == 0:
-                    continue
-                a = A[t][t]
-                if b % a == 0:
-                    # plain reduction never dirties the pivot row
-                    q = b // a
-                    A[i] = [p - q * v for p, v in zip(A[i], A[t])]
-                    U[i] = [p - q * v for p, v in zip(U[i], U[t])]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    row_combine(t, i, x, y, -(b // g), a // g)
-                    clean = False
-            for j in range(t + 1, n):
-                b = A[t][j]
-                if b == 0:
-                    continue
-                a = A[t][t]
-                if b % a == 0:
-                    q = b // a
-                    for rows_ in (A, V):
-                        for r in rows_:
-                            r[j] -= q * r[t]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    col_combine(t, j, x, y, -(b // g), a // g)
-                    clean = False
-            if not clean:
+            changed = _sweep(A, U, t, t)
+            if any(A[t][t + 1:]):
+                At = [list(col) for col in zip(*A)]
+                changed |= _sweep(At, Vt, t, t)
+                A = [list(row) for row in zip(*At)]
+            if changed:
                 continue
             # divisibility: A[t][t] must divide everything that remains
-            fix = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
+            fix = next((i for i in range(t + 1, m)
+                        if any(x % A[t][t] for x in A[i][t + 1:])), None)
             if fix is None:
                 break
-            row_combine(t, fix, 1, 1, 0, 1)
+            A[t] = [u + v for u, v in zip(A[t], A[fix])]
+            U[t] = [u + v for u, v in zip(U[t], U[fix])]
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
-    return tuple(map(tuple, A)), tuple(map(tuple, U)), tuple(map(tuple, V))
+    return tuple(map(tuple, A)), tuple(map(tuple, U)), tuple(zip(*Vt))
 
 
 def _det_adjugate(mat):
@@ -405,16 +372,26 @@ def lambda_from_vertices(simplex: LatticeSimplex,
                   for row in simplex._adj], max_order=max_order)
 
 
-def check_count_budget(d: int, n: int, max_d: int, max_n: int) -> None:
-    """Refuse a count in dimension ``d`` at dilation ``n`` past the budget."""
-    if d > max_d or n > max_n:
+def _check_walk(simplex: LatticeSimplex, dilations: range) -> None:
+    """Refuse counts at ``dilations`` that together walk more than
+    ``MAX_BOX_POINTS`` box points.
+
+    Counting n * simplex walks the product of n * span + 1 over every side
+    of its bounding box but the last, which is counted as an interval.
+    Each dilation walks at least one point, so a range longer than the
+    budget is refused without summing.
+    """
+    walked = len(dilations)
+    if walked <= MAX_BOX_POINTS:
+        spans = [max(c) - min(c) for c in zip(*simplex.vertices)][:-1]
+        walked = sum(prod(n * s + 1 for s in spans) for n in dilations)
+    if walked > MAX_BOX_POINTS:
         raise BudgetExceeded(
-            f"counting is budgeted to d <= {max_d} and n <= {max_n}")
+            f"counting up to n = {dilations[-1]} walks more than the budget "
+            f"of {MAX_BOX_POINTS} box points")
 
 
 def count_lattice_points(simplex: LatticeSimplex, n: int,
-                         max_d: int = DEFAULT_MAX_COUNT_DIMENSION,
-                         max_n: int = DEFAULT_MAX_DILATION,
                          strict: bool = False) -> int:
     """Exact number of integer points in n * simplex (boundary included).
 
@@ -427,32 +404,24 @@ def count_lattice_points(simplex: LatticeSimplex, n: int,
     """
     if n < 0:
         raise ValueError("dilation must be nonnegative")
-    check_count_budget(simplex.d, n, max_d, max_n)
+    _check_walk(simplex, range(n, n + 1))
     if n == 0:
         return 0 if strict else 1
     if simplex.d == 0:
         return 1
     lows = [n * min(v[j] for v in simplex.vertices) for j in range(simplex.d)]
     highs = [n * max(v[j] for v in simplex.vertices) for j in range(simplex.d)]
-    walked = prod(hi - lo + 1 for lo, hi in zip(lows[:-1], highs[:-1]))
-    if walked > MAX_BOX_POINTS:
-        raise BudgetExceeded(
-            f"counting at n = {n} walks {walked} box points, more than "
-            f"the budget of {MAX_BOX_POINTS}")
     det_sign = 1 if simplex._det > 0 else -1
     return _kernels.count_box_points(simplex._adj, det_sign, lows, highs, n,
                                      strict)
 
 
-def ehrhart_table(simplex: LatticeSimplex, max_n: int,
-                  max_d: int = DEFAULT_MAX_COUNT_DIMENSION,
-                  budget_max_n: int = DEFAULT_MAX_DILATION) -> EhrhartTable:
+def ehrhart_table(simplex: LatticeSimplex, max_n: int) -> EhrhartTable:
     """Counts at n = 0..max_n; a table past the budget is refused at once."""
-    check_count_budget(simplex.d, max_n, max_d, budget_max_n)
-    counts = tuple(count_lattice_points(simplex, n, max_d=max_d,
-                                        max_n=budget_max_n)
-                   for n in range(max_n + 1))
-    return EhrhartTable(counts)
+    dilations = range(max_n + 1)
+    _check_walk(simplex, dilations)
+    return EhrhartTable(tuple(count_lattice_points(simplex, n)
+                              for n in dilations))
 
 
 def h_star_from_counts(counts, d: int) -> HStarPolynomial:
@@ -484,15 +453,18 @@ def h_star_from_counts(counts, d: int) -> HStarPolynomial:
     return HStarPolynomial(tuple(coeffs))
 
 
-def min_interior_dilation(simplex: LatticeSimplex, limit: int | None = None,
-                          max_d: int = DEFAULT_MAX_COUNT_DIMENSION) -> int:
-    """Least m with an interior lattice point in m * simplex."""
-    if limit is None:
-        limit = simplex.d + 1
-    for m in range(1, limit + 1):
-        if count_lattice_points(simplex, m, max_d=max_d,
-                                max_n=max(limit, DEFAULT_MAX_DILATION),
-                                strict=True) > 0:
+def min_interior_dilation(simplex: LatticeSimplex) -> int:
+    """Least m with an interior lattice point in m * simplex.
+
+    The vertex sum is an interior point of (d + 1) * simplex, so m <= d + 1.
+    Counts at m = 1..d+1 that together walk more than ``MAX_BOX_POINTS``
+    box points are refused before the first.
+    """
+    dilations = range(1, simplex.d + 2)
+    _check_walk(simplex, dilations)
+    for m in dilations:
+        if count_lattice_points(simplex, m, strict=True) > 0:
             return m
     raise InconsistentCounts(
-        f"no interior point up to dilation {limit}; simplex data is broken")
+        f"no interior point up to dilation {simplex.d + 1}; "
+        "simplex data is broken")

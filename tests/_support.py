@@ -368,7 +368,6 @@ def _limited_extend_closure(prev, row, e, den, cap, max_weight=-1,
 
 
 def reference_enumerate(budget: SearchBudget, s: int,
-                        require_full_support: bool = False,
                         require_non_pyramid: bool = True,
                         prune: bool = True,
                         node_budget: int = DEFAULT_NODE_BUDGET
@@ -392,14 +391,13 @@ def reference_enumerate(budget: SearchBudget, s: int,
     seen: dict[tuple, int] = {}
     zero_row = (0,) * e
     full_mask = (1 << e) - 1
-    need_full = require_full_support or (require_non_pyramid and e > 1)
+    need_full = require_non_pyramid and e > 1
     nodes = 0
 
     def make_report(complete: bool) -> ClassificationReport:
         forms = sorted(found.values(), key=lambda fg: (fg[0].den, fg[0].table))
         return ClassificationReport(
             budget=budget, target_degree=s,
-            require_full_support=require_full_support,
             require_non_pyramid=require_non_pyramid,
             found=[cf for cf, _ in forms],
             groups=[g for _, g in forms],
@@ -505,8 +503,6 @@ def reference_enumerate(budget: SearchBudget, s: int,
             return
         gen_rows = list(rows_sel) if rows_sel else [zero_row]
         G = _build(e, D, gen_rows, list(elements))
-        if require_full_support and not G.full_support:
-            return
         if require_non_pyramid and is_lattice_pyramid(G):
             return
         cf = canonical_form(G)

@@ -94,7 +94,6 @@ def test_enumeration_pruning_soundness():
         budget = SearchBudget(e, den, rng.randint(1, 3),
                               rng.randint(den, 4096))
         _assert_same_walk(budget, rng.randint(0, min(2, (e - 1) // 2)),
-                          require_full_support=rng.random() < 0.5,
                           require_non_pyramid=rng.random() < 0.5)
 
     for e, den, gens, s in SEARCH_BUDGETS:
@@ -194,16 +193,14 @@ def test_atoms_singletons_on_extremal_groups():
 def test_report_json_shape():
     report = enumerate_groups(SearchBudget(3, 6, 3, 512), 1)
     obj = report.to_json()
-    assert list(obj) == ["budget", "targetDegree", "requireFullSupport",
-                         "requireNonPyramid", "found", "counters",
-                         "complete", "banner"]
+    assert list(obj) == ["budget", "targetDegree", "requireNonPyramid",
+                         "found", "counters", "complete", "banner"]
     assert obj["budget"] == {"e": 3, "maxDenominator": 6,
                              "maxGenerators": 3, "maxOrder": 512}
     assert obj["found"][0]["den"] == 2
 
 
-def _naive_found_set(e, den, max_gen, max_order, s, require_non_pyramid,
-                     require_full_support=False):
+def _naive_found_set(e, den, max_gen, max_order, s, require_non_pyramid):
     """Ground truth by closing every generator tuple, no cleverness."""
     from itertools import product
 
@@ -226,8 +223,6 @@ def _naive_found_set(e, den, max_gen, max_order, s, require_non_pyramid,
             if h_star(G).degree() != s:
                 continue
             if require_non_pyramid and is_lattice_pyramid(G):
-                continue
-            if require_full_support and not G.full_support:
                 continue
             cf = canonical_form(G)
             found.add((cf.den, cf.table))

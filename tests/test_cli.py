@@ -124,11 +124,35 @@ def test_realize_and_ehrhart_pipeline(capsys, tmp_path):
     assert code == 0
     assert obj["counts"][0] == 1
     assert obj["hstar"] == [1, 3]
-    code, obj = run_json(capsys, "ehrhart", str(spath), "--max-n", "21",
-                         "--count-max-n", "21")
+    # the walked box is the only counting budget, so n past 20 is admitted
+    code, obj = run_json(capsys, "ehrhart", str(spath), "--max-n", "21")
     assert code == 0
     assert len(obj["counts"]) == 22
     assert obj["hstar"] == [1, 3]
+
+
+def test_ehrhart_refuses_dimension_before_elimination(capsys, tmp_path,
+                                                      monkeypatch):
+    # a d-simplex walks at least 2^(d-1) box points at n >= 1; at d = 18
+    # n = 0..1 walk 1 + 2^17
+    def unit_simplex(d):
+        return json.dumps({"d": d, "vertices": [[0] * d] + [
+            [int(i == j) for j in range(d)] for i in range(d)]})
+
+    path = tmp_path / "unit.json"
+    path.write_text(unit_simplex(18))
+    code, obj = run_json(capsys, "ehrhart", str(path), "--max-n", "1")
+    assert code == 0
+    assert obj["counts"] == [1, 19]
+
+    def no_elimination(mat):
+        raise AssertionError("elimination started past the box budget")
+
+    monkeypatch.setattr(latsimplex.geometry, "_det_adjugate", no_elimination)
+    path.write_text(unit_simplex(20))
+    code, obj = run_json(capsys, "ehrhart", str(path), "--max-n", "1")
+    assert code == 1
+    assert obj["error"] == "budget-exceeded"
 
 
 def test_classify_subcommand(capsys):
@@ -213,9 +237,10 @@ DOMAIN_ERROR_CASES = [
     ("float vertex coordinate", "invalid-input",
      json.dumps({"d": 2, "vertices": [[0, 0], [1.7, 0], [0, 1]]}),
      ["ehrhart", "{path}", "--max-n", "2"]),
+    # every dilation walks at least one box point
     ("dilation past the count budget", "budget-exceeded",
      json.dumps({"d": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}),
-     ["ehrhart", "{path}", "--max-n", "21"]),
+     ["ehrhart", "{path}", "--max-n", "262144"]),
     ("box past the count budget", "budget-exceeded",
      json.dumps({"d": 2, "vertices": [[0, 0], [10 ** 6, 0], [0, 1]]}),
      ["ehrhart", "{path}", "--max-n", "2"]),

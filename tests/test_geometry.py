@@ -186,19 +186,32 @@ def test_count_examples():
 
 
 def test_count_budget():
+    # the walked box is the only budget: B_4's realization (d = 14) walks
+    # 209,952 points at n = 1, and CONV_220 walks 2n + 1
+    assert count_lattice_points(realize_vertices(simplex_code_group(4)),
+                                1) == 15
+    assert count_lattice_points(CONV_220, 25) == 1326
     with pytest.raises(BudgetExceeded):
-        count_lattice_points(CONV_220, 25)
-    with pytest.raises(BudgetExceeded):
-        count_lattice_points(realize_vertices(simplex_code_group(4)), 1)
+        count_lattice_points(CONV_220, geometry.MAX_BOX_POINTS // 2)
 
 
 def test_ehrhart_table_refuses_before_counting(monkeypatch):
     def not_past_the_budget(*args, **kwargs):
-        raise AssertionError("counting started past the dilation budget")
+        raise AssertionError("counting started past the box budget")
 
     monkeypatch.setattr(geometry, "count_lattice_points", not_past_the_budget)
+    # each of n = 0..20 fits alone (n = 20 walks 501^2), not all together
+    wide = LatticeSimplex(3, ((0, 0, 0), (25, 0, 0), (0, 25, 0), (0, 0, 1)))
     with pytest.raises(BudgetExceeded):
-        ehrhart_table(CONV_220, 21)
+        ehrhart_table(wide, 20)
+    # every dilation walks at least one point
+    with pytest.raises(BudgetExceeded):
+        ehrhart_table(CONV_220, geometry.MAX_BOX_POINTS)
+    # m = 1 alone fits, m = 1..d+1 together do not
+    wider = LatticeSimplex(3, ((0, 0, 0), (200, 0, 0), (0, 200, 0),
+                               (0, 0, 1)))
+    with pytest.raises(BudgetExceeded):
+        min_interior_dilation(wider)
 
 
 def test_h_star_from_counts_examples():
