@@ -84,7 +84,7 @@ class _Solver:
     its top bit, and those fields drop by den.
     """
 
-    def __init__(self, G: LambdaGroup, node_budget: int):
+    def __init__(self, G: LambdaGroup):
         self.e = e = G.e
         self.den = den = G.den
         self.p = p = (den - 1).bit_length()
@@ -100,7 +100,6 @@ class _Solver:
         for j, c in enumerate(self.cols):
             self.completing.setdefault(self._reduce(den * ones - c),
                                        []).append(j)
-        self.node_budget = node_budget
         self.nodes = 0
         self.sizes = self._null_sizes()
         self.smin = min(self.sizes)
@@ -110,9 +109,9 @@ class _Solver:
 
     def _tick(self) -> None:
         self.nodes += 1
-        if self.nodes > self.node_budget:
+        if self.nodes > DEFAULT_NODE_BUDGET:
             raise SolverCapExceeded(
-                f"solver exceeded the node budget of {self.node_budget}")
+                f"solver exceeded the node budget of {DEFAULT_NODE_BUDGET}")
 
     def _completions(self, pool: int, total: int, count: int,
                      first: bool = False) -> list[int]:
@@ -229,17 +228,17 @@ class _Solver:
         return best
 
 
-def max_cayley_blocks(G: LambdaGroup,
-                      node_budget: int = DEFAULT_NODE_BUDGET):
+def max_cayley_blocks(G: LambdaGroup):
     """Exact maximum number of null blocks partitioning [e], with a witness.
 
-    Raises SolverCapExceeded once the search has visited ``node_budget``
-    nodes and subsets.  Ties between witnesses go to the smaller block
-    first, then to index order, so results are deterministic.
+    Raises SolverCapExceeded once the search has visited
+    ``DEFAULT_NODE_BUDGET`` nodes and subsets.  Ties between witnesses go
+    to the smaller block first, then to index order, so results are
+    deterministic.
     """
     if not G.integer_sum:
         raise NonIntegralHeights("Cayley partitions need an integer-sum group")
-    masks = _Solver(G, node_budget).search()
+    masks = _Solver(G).search()
     blocks = tuple(sorted((_mask_to_set(m) for m in masks), key=min))
     return len(masks), CayleyPartition(blocks)
 
@@ -346,8 +345,7 @@ class ConjectureReport:
         }
 
 
-def conjecture_report(G: LambdaGroup,
-                      node_budget: int = DEFAULT_NODE_BUDGET, *,
+def conjecture_report(G: LambdaGroup, *,
                       allow_branch_and_bound=None) -> ConjectureReport:
     """C(G) against the original and the modified Cayley bounds.
 
@@ -356,7 +354,7 @@ def conjecture_report(G: LambdaGroup,
     """
     d = G.e - 1
     s = degree(G)
-    C, _ = max_cayley_blocks(G, node_budget=node_budget)
+    C, _ = max_cayley_blocks(G)
     original_gap = (d + 1 - 2 * s) - C
     modified_bound = (17 * s - 4) // 6
     modified_gap = (d + 1 - modified_bound) - C

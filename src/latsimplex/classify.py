@@ -83,8 +83,7 @@ class ClassificationReport:
 
 
 def enumerate_groups(budget: SearchBudget, s: int,
-                     require_non_pyramid: bool = True,
-                     node_budget: int = DEFAULT_NODE_BUDGET
+                     require_non_pyramid: bool = True
                      ) -> ClassificationReport:
     """All integer-sum groups of degree s within the budget, canonicalized.
 
@@ -107,13 +106,16 @@ def enumerate_groups(budget: SearchBudget, s: int,
     changes nothing else.  ``dedupedStates`` counts the repeats that were
     closed, those first met at another level.
 
-    ``node_budget`` bounds the number of candidate rows tried outside H,
-    skipped ones included.  A level whose candidate rows alone would pass
-    it, or would fill more than ``groups.MAX_TABLE_CELLS`` cells (e per
-    row), is refused before its row list is complete, and a level whose
-    probe tables would hold more fields than that (D (D - 1) |H| per column
-    class) before they are built; the partial report then holds only what
-    was found before that level.
+    ``DEFAULT_NODE_BUDGET`` bounds the number of candidate rows tried
+    outside H, skipped ones included.  A search whose closures could pass
+    ``groups.MAX_TABLE_CELLS`` cells (``budget.max_order`` times e) is
+    refused before the walk.  A level whose candidate rows alone would pass
+    the node budget, or would fill more than ``groups.MAX_TABLE_CELLS``
+    cells (e per row), is refused before its row list is complete, and a
+    level whose probe tables would hold more fields than that (D (D - 1)
+    |H| per column class, and |H| (|H| - 1) / 2 for the packing units)
+    before they are built; the partial report then holds only what was
+    found before that level.
     """
     if s < 0:
         raise ValueError("degree must be nonnegative")
@@ -129,6 +131,7 @@ def enumerate_groups(budget: SearchBudget, s: int,
     zero_row = (0,) * e
     full_mask = (1 << e) - 1
     need_full = require_non_pyramid and e > 1
+    node_budget = DEFAULT_NODE_BUDGET
     nodes = 0
     # Each probe t*y + h keeps its weight and its height in two biased
     # fields of ``width`` bits; a field's top bit is set once its partial
@@ -179,9 +182,10 @@ def enumerate_groups(budget: SearchBudget, s: int,
         coordinate is fixed by integrality and not scanned.
         """
         n = len(elements)
-        # each class's D tables hold D - 1 blocks of |H| probe fields
+        # each class's D tables hold D - 1 blocks of |H| probe fields, and
+        # unit i holds i fields
         cells = groups.MAX_TABLE_CELLS
-        need = len(classes) * D * (D - 1) * n
+        need = len(classes) * D * (D - 1) * n + n * (n - 1) // 2
         if need > cells:
             raise BudgetExceeded(
                 f"a level's probe tables need {need} fields, more than the "
@@ -308,6 +312,12 @@ def enumerate_groups(budget: SearchBudget, s: int,
             consider(rows_sel + [row], els, mask)
             walk(rows_sel + [row], els, mask)
 
+    cells = groups.MAX_TABLE_CELLS
+    if budget.max_order * e > cells:
+        raise BudgetExceeded(
+            f"closures of order up to {budget.max_order} on {e} coordinates "
+            f"need {budget.max_order * e} cells, more than the budget of "
+            f"{cells} table cells", partial_report=make_report(False))
     consider([], [zero_row], 0)
     walk([], [zero_row], 0)
     return make_report(True)
@@ -364,8 +374,8 @@ DEFAULT_MAIN2_BUDGETS = {
 }
 
 
-def verify_main1(r: int, budget: SearchBudget | None = None,
-                 node_budget: int = DEFAULT_NODE_BUDGET) -> VerificationReport:
+def verify_main1(r: int, budget: SearchBudget | None = None
+                 ) -> VerificationReport:
     """Uniqueness of the code group among maximal-dimension groups, bounded.
 
     Searches e = 2^(r+2)-1, degree 2^r, non-pyramid; passes when exactly the
@@ -380,8 +390,7 @@ def verify_main1(r: int, budget: SearchBudget | None = None,
     if budget.e != expected_e:
         raise ValueError(f"budget.e must be {expected_e} for r={r}")
     s = 1 << r
-    report = enumerate_groups(budget, s, require_non_pyramid=True,
-                              node_budget=node_budget)
+    report = enumerate_groups(budget, s, require_non_pyramid=True)
     expected = canonical_form(simplex_code_group(r + 2))
     representable = (budget.max_denominator >= 2
                      and budget.max_generators >= r + 2
@@ -400,8 +409,8 @@ def verify_main1(r: int, budget: SearchBudget | None = None,
                               status=status, found=report.found, detail=detail)
 
 
-def verify_main2(s: int, budget: SearchBudget | None = None,
-                 node_budget: int = DEFAULT_NODE_BUDGET) -> VerificationReport:
+def verify_main2(s: int, budget: SearchBudget | None = None
+                 ) -> VerificationReport:
     """Half-integrality of every non-pyramid group at e = f(2s), bounded."""
     if budget is None:
         if s not in DEFAULT_MAIN2_BUDGETS:
@@ -410,8 +419,7 @@ def verify_main2(s: int, budget: SearchBudget | None = None,
     expected_e = f(2 * s)
     if budget.e != expected_e:
         raise ValueError(f"budget.e must be f(2s) = {expected_e} for s={s}")
-    report = enumerate_groups(budget, s, require_non_pyramid=True,
-                              node_budget=node_budget)
+    report = enumerate_groups(budget, s, require_non_pyramid=True)
     bad = [cf for cf in report.found if cf.den > 2]
     if not bad:
         status = "pass"

@@ -39,7 +39,7 @@ def _emit_text(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _group_from_json(obj, max_order: int) -> groups.LambdaGroup:
+def _group_from_json(obj) -> groups.LambdaGroup:
     try:
         e = as_int(obj["e"])
         den = as_int(obj["den"])
@@ -52,7 +52,7 @@ def _group_from_json(obj, max_order: int) -> groups.LambdaGroup:
             f"malformed group JSON: {type(exc).__name__}: {exc}") from exc
     if any(g.e != e for g in gens):
         raise InvalidInput("generator length does not match e")
-    return groups.close(gens, max_order=max_order)
+    return groups.close(gens)
 
 
 def _matrix_text(rows) -> str:
@@ -84,7 +84,7 @@ def _analysis_json(G: groups.LambdaGroup) -> dict:
 
 
 def cmd_code(args) -> int:
-    G = codes.simplex_code_group(args.r, max_order=args.max_order)
+    G = codes.simplex_code_group(args.r)
     if args.matrix:
         _emit_text(_matrix_text(codes.half_matrix(args.r)))
     else:
@@ -93,7 +93,7 @@ def cmd_code(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    G = codes.counterexample_simplex(args.s, max_order=args.max_order)
+    G = codes.counterexample_simplex(args.s)
     if args.matrix:
         _emit_text(_matrix_text(G.generators))
     else:
@@ -102,27 +102,27 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    G = _group_from_json(_read_json(args.group), args.max_order)
+    G = _group_from_json(_read_json(args.group))
     _emit(_analysis_json(G))
     return 0
 
 
 def cmd_cayley(args) -> int:
-    G = _group_from_json(_read_json(args.group), args.max_order)
+    G = _group_from_json(_read_json(args.group))
     count, partition = cayley.max_cayley_blocks(G)
     _emit({"C": count, "partition": partition.to_json()})
     return 0
 
 
 def cmd_conjecture(args) -> int:
-    G = _group_from_json(_read_json(args.group), args.max_order)
+    G = _group_from_json(_read_json(args.group))
     report = cayley.conjecture_report(G)
     _emit(report.to_json())
     return 0
 
 
 def cmd_realize(args) -> int:
-    G = _group_from_json(_read_json(args.group), args.max_order)
+    G = _group_from_json(_read_json(args.group))
     _emit(geometry.realize_vertices(G).to_json())
     return 0
 
@@ -192,10 +192,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _report_rows(max_order: int):
+def _report_rows():
     family_rows = []
     for r in range(4):
-        G = codes.simplex_code_group(r + 2, max_order=max_order)
+        G = codes.simplex_code_group(r + 2)
         hs = groups.h_star(G)
         rep = cayley.conjecture_report(G)
         family_rows.append({
@@ -205,7 +205,7 @@ def _report_rows(max_order: int):
         })
     counter_rows = []
     for s in range(2, 9):
-        G = codes.counterexample_simplex(s, max_order=max_order)
+        G = codes.counterexample_simplex(s)
         rep = cayley.conjecture_report(G)
         counter_rows.append({
             "s": s, "e": G.e, "blocks": bin(2 * s).count("1"),
@@ -228,7 +228,7 @@ def _format_table(title: str, rows: list[dict]) -> str:
 
 
 def cmd_report(args) -> int:
-    family_rows, counter_rows = _report_rows(args.max_order)
+    family_rows, counter_rows = _report_rows()
     if args.format == "csv":
         lines = ["section,param,e,degree,volume,hstar,C,originalGap,modifiedGap"]
         for row in family_rows:
@@ -257,43 +257,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of lattice simplices via residue groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--max-order", type=int,
-                       default=groups.DEFAULT_MAX_ORDER,
-                       help="cap on group closures")
-
     p = sub.add_parser("code", help="group generated by the half matrix")
     p.add_argument("--r", type=int, required=True, help="code dimension")
     p.add_argument("--matrix", action="store_true",
                    help="emit the generator matrix as text instead of JSON")
-    common(p)
     p.set_defaults(func=cmd_code)
 
     p = sub.add_parser("counterexample",
                        help="block-diagonal family of the given degree")
     p.add_argument("--s", type=int, required=True, help="target degree")
     p.add_argument("--matrix", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("analyze", help="order, degree, volume, h*, flags")
     p.add_argument("group", help="group JSON file, or - for stdin")
-    common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("cayley", help="maximal null-block partition")
     p.add_argument("group")
-    common(p)
     p.set_defaults(func=cmd_cayley)
 
     p = sub.add_parser("conjecture", help="Cayley-bound gaps and verdicts")
     p.add_argument("group")
-    common(p)
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("realize", help="integer vertices for a group")
     p.add_argument("group")
-    common(p)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("ehrhart", help="dilation point counts for a simplex")
@@ -320,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="consolidated family/counterexample table")
     p.add_argument("--format", choices=["text", "csv", "json"],
                    default="text")
-    common(p)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import groups
 from .errors import DimensionMismatch, GroupTooLarge, HypothesesNotMet
-from .groups import DEFAULT_MAX_ORDER, LambdaGroup, close, direct_sum
+from .groups import LambdaGroup, close, direct_sum
 from .residues import ResidueVector
 
 
@@ -68,8 +68,7 @@ def support_matrix(rows) -> BinaryMatrix:
         tuple(1 if a else 0 for a in v.nums) for v in rows))
 
 
-def simplex_code_group(r: int,
-                       max_order: int = DEFAULT_MAX_ORDER) -> LambdaGroup:
+def simplex_code_group(r: int) -> LambdaGroup:
     """Group generated by the half-entry rows; order 2^r, all weights equal.
 
     Raises GroupTooLarge before building anything when the 2^r x (2^r - 1)
@@ -83,7 +82,7 @@ def simplex_code_group(r: int,
     if r >= budget.bit_length() or (1 << r) * ((1 << r) - 1) > budget:
         raise GroupTooLarge(f"the code group for r = {r} exceeds the budget "
                             f"of {budget} table cells")
-    return close(half_matrix(r), max_order=max_order)
+    return close(half_matrix(r))
 
 
 def support_rigidity_check(rows, r: int) -> bool:
@@ -110,8 +109,7 @@ def support_rigidity_check(rows, r: int) -> bool:
     return all(v.reduced() == w.reduced() for v, w in zip(rows, expected))
 
 
-def counterexample_simplex(s: int,
-                           max_order: int = DEFAULT_MAX_ORDER) -> LambdaGroup:
+def counterexample_simplex(s: int) -> LambdaGroup:
     """Block-diagonal family with degree s on 4s - popcount(2s) coordinates.
 
     Writes 2s = 2^{u_1} + ... + 2^{u_p} with u_1 > ... > u_p >= 1 and stacks
@@ -121,8 +119,7 @@ def counterexample_simplex(s: int,
         raise ValueError("s must be at least 2")
     exponents = [u for u in range((2 * s).bit_length()) if (2 * s) >> u & 1]
     exponents.reverse()
-    G = simplex_code_group(exponents[0] + 1, max_order=max_order)
+    G = simplex_code_group(exponents[0] + 1)
     for u in exponents[1:]:
-        G = direct_sum(G, simplex_code_group(u + 1, max_order=max_order),
-                       max_order=max_order)
+        G = direct_sum(G, simplex_code_group(u + 1))
     return G

@@ -29,12 +29,7 @@ from .errors import (
     NonIntegralHeights,
     RankDeficient,
 )
-from .groups import (
-    DEFAULT_MAX_ORDER,
-    HStarPolynomial,
-    LambdaGroup,
-    close,
-)
+from .groups import HStarPolynomial, LambdaGroup, close
 from .residues import ResidueVector, as_int, int_rows
 
 # the most points of the box a count may walk: every side but the last,
@@ -358,8 +353,7 @@ def realize_vertices(G: LambdaGroup) -> LatticeSimplex:
     return LatticeSimplex(d, vertices)
 
 
-def lambda_from_vertices(simplex: LatticeSimplex,
-                         max_order: int = DEFAULT_MAX_ORDER) -> LambdaGroup:
+def lambda_from_vertices(simplex: LatticeSimplex) -> LambdaGroup:
     """Residue group of a simplex: Z^(d+1) B^-1 / Z^(d+1).
 
     x lies in it exactly when x @ B is integral, for B the bordered vertex
@@ -369,7 +363,7 @@ def lambda_from_vertices(simplex: LatticeSimplex,
     den = abs(det)
     sign = 1 if det > 0 else -1
     return close([ResidueVector(den, tuple(sign * x % den for x in row))
-                  for row in simplex._adj], max_order=max_order)
+                  for row in simplex._adj])
 
 
 def _check_walk(simplex: LatticeSimplex, dilations: range) -> None:

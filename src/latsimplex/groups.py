@@ -185,13 +185,16 @@ def _build(e, den, gen_nums, elements) -> LambdaGroup:
     return LambdaGroup(e, den, gens, tuple(elements))
 
 
-def close(generators, max_order: int = DEFAULT_MAX_ORDER) -> LambdaGroup:
+def close(generators, max_order: int | None = None) -> LambdaGroup:
     """Smallest addition-closed subgroup containing ``generators`` and zero.
 
     Generators with different denominators are rescaled to their lcm here,
     once and explicitly.  Raises GroupTooLarge past ``max_order`` elements
-    or past ``MAX_TABLE_CELLS`` table cells.
+    (``DEFAULT_MAX_ORDER`` when None) or past ``MAX_TABLE_CELLS`` table
+    cells.
     """
+    if max_order is None:
+        max_order = DEFAULT_MAX_ORDER
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -367,10 +370,9 @@ def restrict(G: LambdaGroup, S) -> LambdaGroup:
     return _build(len(cols), G.den, gen_nums, projected)
 
 
-def direct_sum(G1: LambdaGroup, G2: LambdaGroup,
-               max_order: int = DEFAULT_MAX_ORDER) -> LambdaGroup:
+def direct_sum(G1: LambdaGroup, G2: LambdaGroup) -> LambdaGroup:
     """Block sum on disjoint coordinates; order multiplies, heights add."""
-    if G1.order * G2.order > max_order:
+    if G1.order * G2.order > DEFAULT_MAX_ORDER:
         raise GroupTooLarge("direct sum exceeds the order cap")
     if G1.order * G2.order * (G1.e + G2.e) > MAX_TABLE_CELLS:
         raise GroupTooLarge(
@@ -410,44 +412,53 @@ def _coordinate_components(e: int, supports) -> list[list[int]]:
     return list(comps.values())
 
 
-def canonical_form(G: LambdaGroup,
-                   node_budget: int = DEFAULT_CANONICAL_BUDGET) -> CanonicalForm:
+def _components(G: LambdaGroup) -> list[list[int]]:
+    """Coordinate components (0-based) of indecomposable-element supports.
+
+    An element x is decomposable when x restricted to some proper nonzero
+    part of its support lies in the group; that part is then the support of
+    that element, so only the group's distinct support masks are tried.
+    """
+    members = set(G.elements)
+    parts = {m: [i for i in range(G.e) if m >> i & 1]
+             for m in set(G.masks) if m}
+    supports = []
+    for x, mx in zip(G.elements, G.masks):
+        if not mx & (mx - 1):
+            continue
+        for m, idx in parts.items():
+            if m & mx == m and m != mx:
+                y = [0] * G.e
+                for i in idx:
+                    y[i] = x[i]
+                if tuple(y) in members:
+                    break
+        else:
+            supports.append(parts[mx])
+    return _coordinate_components(G.e, supports)
+
+
+def canonical_form(G: LambdaGroup) -> CanonicalForm:
     """Canonical element table under coordinate permutations.
 
     The group is exactly the product of its restrictions to the connected
-    components of indecomposable-element supports (an element is
-    indecomposable when no proper nonzero sub-restriction of it lies in the
-    group), so each component is canonicalized on its own and the results
-    merge in a fixed order.  Two groups get equal canonical forms iff they
-    differ by a coordinate permutation.
+    components of indecomposable-element supports (see ``_components``), so
+    each component is canonicalized on its own and the results merge in a
+    fixed order.  Two groups get equal canonical forms iff they differ by a
+    coordinate permutation.  Each component's search visits at most
+    ``DEFAULT_CANONICAL_BUDGET`` nodes.
     """
     e = G.e
     den = G.den
-    elements = G.elements
-
-    def decomposable(x):
-        for y in elements:
-            if y == x or not any(y):
-                continue
-            if all(a == 0 or a == b for a, b in zip(y, x)) and y != x:
-                return True
-        return False
-
-    supports = []
-    for el in elements:
-        supp = [i for i, a in enumerate(el) if a]
-        if len(supp) > 1 and not decomposable(el):
-            supports.append(supp)
-    comps = _coordinate_components(e, supports)
+    comps = _components(G)
     if len(comps) == 1:
         return CanonicalForm(e=e, den=den,
-                             table=_canonical_table(G.elements, e, node_budget))
+                             table=_canonical_table(G.elements, e))
 
     keyed = []
     for coords in comps:
         sub = sorted({tuple(el[c] for c in coords) for el in G.elements})
-        keyed.append((len(coords),
-                      _canonical_table(tuple(sub), len(coords), node_budget)))
+        keyed.append((len(coords), _canonical_table(tuple(sub), len(coords))))
     keyed.sort()
     rows = [()]
     for _, sub_table in keyed:
@@ -455,7 +466,7 @@ def canonical_form(G: LambdaGroup,
     return CanonicalForm(e=e, den=den, table=tuple(sorted(rows)))
 
 
-def _canonical_table(elements, e: int, node_budget: int):
+def _canonical_table(elements, e: int):
     """Greedy column-choice canonicalization of one connected table.
 
     Columns are chosen step by step; every candidate is scored by the sorted
@@ -465,6 +476,7 @@ def _canonical_table(elements, e: int, node_budget: int):
     n = len(elements)
     col_vals = [tuple(elements[i][c] for i in range(n)) for c in range(e)]
     states = [((), (tuple(range(n)),))]
+    node_budget = DEFAULT_CANONICAL_BUDGET
     nodes = 0
     sorted_cache: dict[tuple, tuple] = {}
 

@@ -21,10 +21,10 @@ from latsimplex.errors import (
 )
 from latsimplex.geometry import LatticeSimplex, smith_normal_form
 from latsimplex.groups import (
-    DEFAULT_MAX_ORDER,
     CanonicalForm,
     LambdaGroup,
     _build,
+    _coordinate_components,
     canonical_form,
     degree,
     trivial_group,
@@ -634,9 +634,7 @@ def oracle_det_adjugate(mat):
     return det, _adjugate(mat, det)
 
 
-def smith_lambda_from_vertices(simplex: LatticeSimplex,
-                               max_order: int = DEFAULT_MAX_ORDER
-                               ) -> LambdaGroup:
+def smith_lambda_from_vertices(simplex: LatticeSimplex) -> LambdaGroup:
     """Slow oracle for ``geometry.lambda_from_vertices``: the residue group
     read from the Smith normal form of the bordered vertex matrix, as
     ``geometry`` computed it before it kept the bordered inverse."""
@@ -658,7 +656,7 @@ def smith_lambda_from_vertices(simplex: LatticeSimplex,
                                            for j in range(n))))
     if not gens:
         return trivial_group(n)
-    return close(gens, max_order=max_order)
+    return close(gens)
 
 
 def brute_canonical_key(G: LambdaGroup):
@@ -671,3 +669,26 @@ def brute_canonical_key(G: LambdaGroup):
     return G.den, min(tuple(sorted(tuple(el[c] for c in perm)
                                    for el in G.elements))
                       for perm in permutations(range(G.e)))
+
+
+def reference_components(G: LambdaGroup) -> list[list[int]]:
+    """Slow oracle for ``groups._components``: the coordinate components of
+    indecomposable-element supports, each element compared with every
+    other, as ``canonical_form`` found them before it tried support masks.
+    """
+    elements = G.elements
+
+    def decomposable(x):
+        for y in elements:
+            if y == x or not any(y):
+                continue
+            if all(a == 0 or a == b for a, b in zip(y, x)) and y != x:
+                return True
+        return False
+
+    supports = []
+    for el in elements:
+        supp = [i for i, a in enumerate(el) if a]
+        if len(supp) > 1 and not decomposable(el):
+            supports.append(supp)
+    return _coordinate_components(G.e, supports)

@@ -26,6 +26,7 @@ from latsimplex import (
     trivial_group,
     validate_partition,
 )
+from latsimplex import cayley
 from latsimplex.errors import (
     HypothesesNotMet,
     NonIntegralHeights,
@@ -84,7 +85,7 @@ def test_max_blocks_requires_integer_sum():
         max_cayley_blocks(G)
 
 
-def test_solver_cap_and_branch_and_bound():
+def test_solver_cap_and_branch_and_bound(monkeypatch):
     # the 31 coordinates of B_5 need no solver option
     B5 = simplex_code_group(5)
     count, witness = max_cayley_blocks(B5)
@@ -92,8 +93,9 @@ def test_solver_cap_and_branch_and_bound():
     assert count == 10
     assert sorted(len(b) for b in witness.blocks) == [3] * 9 + [4]
     # the node budget is the only bound
+    monkeypatch.setattr(cayley, "DEFAULT_NODE_BUDGET", 100)
     with pytest.raises(SolverCapExceeded):
-        max_cayley_blocks(B5, node_budget=100)
+        max_cayley_blocks(B5)
 
 
 def test_solver_matches_memoized_reference():

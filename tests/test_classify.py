@@ -21,6 +21,7 @@ from latsimplex import (
     verify_main1,
     verify_main2,
 )
+from latsimplex import classify
 from latsimplex.classify import DEFAULT_MAIN1_BUDGETS, DEFAULT_MAIN2_BUDGETS
 from latsimplex.errors import HypothesesNotMet
 
@@ -53,7 +54,9 @@ def _assert_same_walk(budget, s, **flags):
     # every row the oracle closed that this walk may close as well
     closed = sum(n for name, n in ref.counters.items()
                  if name != "prunedBySupport")
-    ours = enumerate_groups(budget, s, node_budget=closed, **flags)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "DEFAULT_NODE_BUDGET", closed)
+        ours = enumerate_groups(budget, s, **flags)
     case = (budget, s, flags)
     assert ours.complete and ref.complete, case
     assert ours.found == ref.found, case
@@ -240,22 +243,24 @@ def test_enumeration_matches_naive_exhaustive():
             assert ours == naive, (s, require_non_pyramid)
 
 
-def test_enumeration_node_budget_carries_partial_report():
+def test_enumeration_node_budget_carries_partial_report(monkeypatch):
     from latsimplex.errors import BudgetExceeded
+    monkeypatch.setattr(classify, "DEFAULT_NODE_BUDGET", 5)
     with pytest.raises(BudgetExceeded) as exc:
-        enumerate_groups(SearchBudget(7, 4, 3, 2048), 2, node_budget=5)
+        enumerate_groups(SearchBudget(7, 4, 3, 2048), 2)
     partial = exc.value.partial_report
     assert partial is not None
     assert partial.complete is False
 
 
-def test_node_budget_bounds_row_generation():
+def test_node_budget_bounds_row_generation(monkeypatch):
     """A level with more candidate rows than the budget allows is refused
     before its row list is built."""
     from latsimplex.errors import BudgetExceeded
+    monkeypatch.setattr(classify, "DEFAULT_NODE_BUDGET", 1000)
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded) as exc:
-        enumerate_groups(SearchBudget(16, 16, 1, 4096), 32, node_budget=1000)
+        enumerate_groups(SearchBudget(16, 16, 1, 4096), 32)
     assert time.perf_counter() - start < 1.0
     assert exc.value.partial_report.complete is False
 
@@ -265,9 +270,11 @@ def test_cell_budget_bounds_row_generation(monkeypatch):
     even when the node budget would allow more rows."""
     from latsimplex import groups
     from latsimplex.errors import BudgetExceeded
+    # closures of order 100 on 16 coordinates fit the budget, 100 rows
+    # more do not
     monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 16 * 100)
-    with pytest.raises(BudgetExceeded, match="table cells") as exc:
-        enumerate_groups(SearchBudget(16, 16, 1, 4096), 32)
+    with pytest.raises(BudgetExceeded, match="candidate rows") as exc:
+        enumerate_groups(SearchBudget(16, 16, 1, 100), 32)
     assert exc.value.partial_report.complete is False
 
 
@@ -276,14 +283,28 @@ def test_cell_budget_bounds_probe_tables(monkeypatch):
     before they are built, after the earlier levels ran."""
     from latsimplex import groups
     from latsimplex.errors import BudgetExceeded
-    # the first level's tables hold 6 * 5 fields, a later level's more
+    # the first level's tables hold 6 * 5 fields, a later level's more;
+    # closures of order 6 on 3 coordinates fit
     monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 6 * 5)
     with pytest.raises(BudgetExceeded, match="probe tables") as exc:
-        enumerate_groups(SearchBudget(3, 6, 3, 512), 1)
+        enumerate_groups(SearchBudget(3, 6, 3, 6), 1)
     assert "budget of 30 table cells" in str(exc.value)
     partial = exc.value.partial_report
     assert partial.complete is False
     assert partial.counters["closuresExamined"] >= 1
+
+
+def test_cell_budget_counts_packing_units(monkeypatch):
+    """A level's probe tables are counted with the |H| (|H| - 1) / 2 fields
+    of their packing units: the level of 3 column classes over a group of
+    order 6 at denominator 6 needs 3 * 6 * 5 * 6 + 15 = 555 fields."""
+    from latsimplex import groups
+    from latsimplex.errors import BudgetExceeded
+    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 554)
+    with pytest.raises(BudgetExceeded, match="need 555 fields"):
+        enumerate_groups(SearchBudget(3, 6, 3, 6), 1)
+    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 555)
+    assert enumerate_groups(SearchBudget(3, 6, 3, 6), 1).complete
 
 
 def test_same_extension_rows_brute_force():

@@ -1,5 +1,7 @@
 """CLI subcommands: schemas, pipelines, determinism and exit codes."""
 
+import argparse
+import inspect
 import io
 import json
 import os
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latsimplex
-from latsimplex import cli
+from latsimplex import cli, groups
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +262,11 @@ DOMAIN_ERROR_CASES = [
     ("classify den 10^5", "budget-exceeded", None,
      ["classify", "--e", "2", "--degree", "1", "--max-den", "100000",
       "--max-gen", "1", "--max-order", "100000"]),
+    # its closures may pass the cell budget; unchecked, the walk grows past
+    # 2 GB (its packing units alone hold about 1 GB at |H| = 2^15)
+    ("classify order cap past the cell budget", "budget-exceeded", None,
+     ["classify", "--e", "30", "--degree", "15", "--max-den", "2",
+      "--max-gen", "22", "--max-order", "4194304"]),
     # its degeneracy check alone would take seconds
     ("dense d 300", "budget-exceeded", _dense_simplex(300, 300),
      ["ehrhart", "{path}", "--max-n", "2"]),
@@ -312,7 +319,7 @@ def cli_inputs(draw):
             row[-1] = -sum(row[:-1]) % den
         doc = {"e": e, "den": den, "generators": rows}
         command = draw(st.sampled_from(["analyze", "cayley", "realize"]))
-        argv = [command, "-", "--max-order", "64"]
+        argv = [command, "-"]
         rows_key, scalar_key = "generators", "e"
     else:
         d = draw(st.integers(0, 3))
@@ -349,7 +356,8 @@ def test_cli_survives_arbitrary_json(case):
     argv, doc, non_integer = case
     out = io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
-            redirect_stdout(out):
+            redirect_stdout(out), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "DEFAULT_MAX_ORDER", 64)
         code = cli.main(argv)
     assert code in (0, 1)
     if code == 1:
@@ -357,6 +365,26 @@ def test_cli_survives_arbitrary_json(case):
         assert list(obj) == ["error", "message"]
         assert obj["error"] and obj["message"]
     assert not (non_integer and code == 0)
+
+
+def test_budgets_are_module_constants():
+    """Budgets are read from the module that owns them, not passed per call:
+    no public callable takes ``node_budget``, only ``close`` and the
+    search's own ``SearchBudget`` take ``max_order``, and only ``classify``
+    has ``--max-order``."""
+    takes = {}
+    for name in latsimplex.__all__:
+        obj = getattr(latsimplex, name)
+        if callable(obj):
+            params = inspect.signature(obj).parameters
+            for knob in ("node_budget", "max_order"):
+                if knob in params:
+                    takes.setdefault(knob, set()).add(name)
+    assert takes == {"max_order": {"close", "SearchBudget"}}
+    [subparsers] = [a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    assert [name for name, p in subparsers.choices.items()
+            if "--max-order" in p._option_string_actions] == ["classify"]
 
 
 def test_solver_cap_error_is_machine_readable(capsys, tmp_path):

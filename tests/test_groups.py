@@ -10,6 +10,7 @@ from _support import (
     brute_canonical_key,
     random_integer_sum_group,
     random_non_pyramid_group,
+    reference_components,
 )
 from latsimplex import (
     ResidueVector,
@@ -362,17 +363,39 @@ def test_canonical_form_preserves_table_content():
         assert columns == original
 
 
-def test_canonical_form_budget_error():
+def test_components_match_pairwise_reference():
+    """Decomposability by support masks against the pairwise rule, on
+    random groups, their block sums, B_2..B_5 and the counterexamples."""
+    from latsimplex import counterexample_simplex
+    rng = random.Random(71)
+    cases = [random_integer_sum_group(rng, e_max=9, max_order=128, e_min=1)
+             for _ in range(200)]
+    cases += [direct_sum(random_integer_sum_group(rng, e_max=5, e_min=1),
+                         random_integer_sum_group(rng, e_max=5, e_min=1))
+              for _ in range(100)]
+    cases += [simplex_code_group(r) for r in range(2, 6)]
+    cases += [counterexample_simplex(s) for s in range(2, 7)]
+    split = 0
+    for G in cases:
+        comps = groups._components(G)
+        assert comps == reference_components(G), G
+        split += len(comps) > 1
+    assert split > 100
+
+
+def test_canonical_form_budget_error(monkeypatch):
     from latsimplex.errors import CanonicalizationBudgetExceeded
     G = simplex_code_group(4)
+    monkeypatch.setattr(groups, "DEFAULT_CANONICAL_BUDGET", 10)
     with pytest.raises(CanonicalizationBudgetExceeded):
-        canonical_form(G, node_budget=10)
+        canonical_form(G)
 
 
-def test_direct_sum_order_cap():
+def test_direct_sum_order_cap(monkeypatch):
     B3 = simplex_code_group(3)
+    monkeypatch.setattr(groups, "DEFAULT_MAX_ORDER", 32)
     with pytest.raises(GroupTooLarge):
-        direct_sum(B3, B3, max_order=32)
+        direct_sum(B3, B3)
 
 
 def test_direct_sum_cell_budget(monkeypatch):
