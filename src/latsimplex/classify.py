@@ -136,8 +136,9 @@ def enumerate_groups(budget: SearchBudget, s: int,
     # Each probe t*y + h keeps its weight and its height in two biased
     # fields of ``width`` bits; a field's top bit is set once its partial
     # sum passes its cap, and no field can overflow into the next before
-    # that is seen.
+    # that is seen.  A multiple of 4 bits makes a pair of fields whole bytes.
     width = (max(max_w, max_h) + D).bit_length() + 1
+    width += -width % 4
     pair = 2 * width
     half = 1 << (width - 1)
     top_pair = half | (half << width)
@@ -197,14 +198,16 @@ def enumerate_groups(budget: SearchBudget, s: int,
         units = [1 << (pair * i) for i in range(n)]
         coords = []
         for start, length in classes:
-            by_value = [0] * D
+            by_value = {}
             for u, h in zip(units, elements):
-                by_value[h[start]] |= u
+                by_value[h[start]] = by_value.get(h[start], 0) | u
+            # one block of whole bytes per shift q of the class's values
             shifted = [sum(m * fields[(v + q) % D]
-                           for v, m in enumerate(by_value) if m)
+                           for v, m in by_value.items()
+                           ).to_bytes(block // 8, "little")
                        for q in range(D)]
-            table = [sum(shifted[t * a % D] << (block * (t - 1))
-                         for t in range(1, D))
+            table = [int.from_bytes(b"".join([shifted[t * a % D]
+                                              for t in range(1, D)]), "little")
                      for a in range(D)]
             lo = 1 if (forced_mask >> start) & 1 else 0
             coords.append((table, lo))
@@ -362,11 +365,8 @@ class VerificationReport:
         }
 
 
-DEFAULT_MAIN1_BUDGETS = {
-    0: SearchBudget(e=3, max_denominator=6, max_generators=3, max_order=512),
-    1: SearchBudget(e=7, max_denominator=4, max_generators=3, max_order=2048),
-}
-
+# main1 at r reads the budget of main2 at s = 2^r: both search e = 2^(r+2) - 1
+# = f(2^(r+1)) at degree 2^r
 DEFAULT_MAIN2_BUDGETS = {
     1: SearchBudget(e=3, max_denominator=6, max_generators=3, max_order=512),
     2: SearchBudget(e=7, max_denominator=4, max_generators=3, max_order=2048),
@@ -385,7 +385,7 @@ def verify_main1(r: int, budget: SearchBudget | None = None
     if r not in (0, 1):
         raise ValueError("desk-scale verification supports r in {0, 1}")
     if budget is None:
-        budget = DEFAULT_MAIN1_BUDGETS[r]
+        budget = DEFAULT_MAIN2_BUDGETS[1 << r]
     expected_e = (1 << (r + 2)) - 1
     if budget.e != expected_e:
         raise ValueError(f"budget.e must be {expected_e} for r={r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
+from operator import add
 
 from . import _kernels
 from .errors import (
@@ -443,118 +444,95 @@ def canonical_form(G: LambdaGroup) -> CanonicalForm:
 
     The group is exactly the product of its restrictions to the connected
     components of indecomposable-element supports (see ``_components``), so
-    each component is canonicalized on its own and the results merge in a
-    fixed order.  Two groups get equal canonical forms iff they differ by a
-    coordinate permutation.  Each component's search visits at most
+    each component is canonicalized on its own and the sorted tables merge
+    in a fixed order; a single component merges to its own table.  Two
+    groups get equal canonical forms iff they differ by a coordinate
+    permutation.  Each component's search visits at most
     ``DEFAULT_CANONICAL_BUDGET`` nodes.
     """
-    e = G.e
-    den = G.den
-    comps = _components(G)
-    if len(comps) == 1:
-        return CanonicalForm(e=e, den=den,
-                             table=_canonical_table(G.elements, e))
-
     keyed = []
-    for coords in comps:
+    for coords in _components(G):
         sub = sorted({tuple(el[c] for c in coords) for el in G.elements})
-        keyed.append((len(coords), _canonical_table(tuple(sub), len(coords))))
+        keyed.append((len(coords), _canonical_table(sub, len(coords))))
     keyed.sort()
     rows = [()]
     for _, sub_table in keyed:
         rows = [r + piece for r in rows for piece in sub_table]
-    return CanonicalForm(e=e, den=den, table=tuple(sorted(rows)))
+    return CanonicalForm(e=G.e, den=G.den, table=tuple(sorted(rows)))
 
 
 def _canonical_table(elements, e: int):
     """Greedy column-choice canonicalization of one connected table.
 
-    Columns are chosen step by step; every candidate is scored by the sorted
-    value multisets it induces on the current row classes, and only globally
-    minimal choices survive to the next step.
+    A search state is (chosen columns, colors), with one color per row: two
+    rows agree on the chosen columns exactly when their colors agree, and
+    the colors rank the rows by their values there.  A node is one state
+    with one distinct unchosen column c, scored by the sorted labels
+    color * base + value of c.  States at one level share their color class
+    sizes, so these flat keys order the columns as the value multisets of
+    the color classes, class by class, do.  Only globally least keys
+    survive, and the survivors' labels, ranked, become the next colors;
+    among states with the same chosen set and colors the first is kept.
+    Once every row has its own color the rows are in order, the unchosen
+    columns follow sorted, and the least such table is the form.
     """
     n = len(elements)
-    col_vals = [tuple(elements[i][c] for i in range(n)) for c in range(e)]
-    states = [((), (tuple(range(n)),))]
+    cols = list(zip(*elements))
+    firsts = {}
+    for c, col in enumerate(cols):
+        firsts.setdefault(col, c)
+    firsts = [firsts[col] for col in cols]
+    # colors are kept times base, so that a label is one addition
+    base = max(map(max, cols)) + 1
+    states = [((), (0,) * n)]
     node_budget = DEFAULT_CANONICAL_BUDGET
     nodes = 0
-    sorted_cache: dict[tuple, tuple] = {}
-
-    def class_values(grp, c):
-        hit = sorted_cache.get((grp, c))
-        if hit is None:
-            col = col_vals[c]
-            hit = tuple(sorted(col[i] for i in grp))
-            sorted_cache[(grp, c)] = hit
-        return hit
-
-    for _ in range(e):
-        if all(len(grp) == 1 for grp in states[0][1]):
-            # every row class is a singleton: each state's completion is
-            # forced, so compare the finished tables directly
-            break
-        best_key = None
+    ncolors = 1
+    while ncolors < n:
+        best = None
         winners = []
-        for si, (cols, groups) in enumerate(states):
-            used = set(cols)
-            tried = set()
+        for chosen, colors in states:
+            # identical columns refine identically: try the first unchosen
+            # copy of each
+            free = {}
             for c in range(e):
-                if c in used:
+                if c not in chosen:
+                    free.setdefault(firsts[c], c)
+            free = free.values()
+            nodes += len(free)
+            if nodes > node_budget:
+                raise CanonicalizationBudgetExceeded(
+                    f"canonicalization exceeded {node_budget} nodes")
+            # a key opens with the sorted values of the rows of color 0,
+            # where most columns already lose
+            zero = [i for i, k in enumerate(colors) if not k]
+            for c in free:
+                col = cols[c]
+                head = sorted(map(col.__getitem__, zero))
+                if best and head > best[:len(head)]:
                     continue
-                col = col_vals[c]
-                if col in tried:
-                    # identical columns refine identically; keep the first
-                    continue
-                tried.add(col)
-                nodes += 1
-                if nodes > node_budget:
-                    raise CanonicalizationBudgetExceeded(
-                        f"canonicalization exceeded {node_budget} nodes")
-                if best_key is None:
-                    best_key = tuple(class_values(grp, c) for grp in groups)
-                    winners = [(si, c)]
-                    continue
-                # compare class by class, bailing out on the first loss
-                verdict = 0
-                for gi, grp in enumerate(groups):
-                    part = class_values(grp, c)
-                    ref = best_key[gi]
-                    if part < ref:
-                        verdict = -1
-                        break
-                    if part > ref:
-                        verdict = 1
-                        break
-                if verdict < 0:
-                    best_key = tuple(class_values(grp, c) for grp in groups)
-                    winners = [(si, c)]
-                elif verdict == 0:
-                    winners.append((si, c))
-        new_states = []
-        seen = set()
-        for si, c in winners:
-            cols, groups = states[si]
-            ngroups = []
-            for grp in groups:
-                by_value: dict[int, list[int]] = {}
-                for i in grp:
-                    by_value.setdefault(elements[i][c], []).append(i)
-                for v in sorted(by_value):
-                    ngroups.append(tuple(by_value[v]))
-            ngroups = tuple(ngroups)
-            sig = (frozenset(cols + (c,)), ngroups)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            new_states.append((cols + (c,), ngroups))
-        states = new_states
+                key = sorted(map(add, colors, col))
+                if not best or key < best:
+                    best = key
+                    winners = [(chosen, colors, c)]
+                elif key == best:
+                    winners.append((chosen, colors, c))
+        rank = {label: k * base for k, label in enumerate(dict.fromkeys(best))}
+        ncolors = len(rank)
+        survivors = {}
+        for chosen, colors, c in winners:
+            colors = tuple(map(rank.__getitem__, map(add, colors, cols[c])))
+            survivors.setdefault((frozenset(chosen) | {c}, colors),
+                                 (chosen + (c,), colors))
+        states = survivors.values()
     best_table = None
-    for cols, groups in states:
-        order = [i for grp in groups for i in grp]
-        remaining = sorted((c for c in range(e) if c not in cols),
-                           key=lambda c: tuple(elements[i][c] for i in order))
-        col_order = list(cols) + remaining
-        table = tuple(tuple(elements[i][c] for c in col_order) for i in order)
+    for chosen, colors in states:
+        order = sorted(range(n), key=colors.__getitem__)
+        remaining = sorted((c for c in range(e) if c not in chosen),
+                           key=lambda c: list(map(cols[c].__getitem__, order)))
+        col_order = chosen + tuple(remaining)
+        table = tuple(tuple(map(elements[i].__getitem__, col_order))
+                      for i in order)
         if best_table is None or table < best_table:
             best_table = table
     return best_table

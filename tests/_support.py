@@ -7,6 +7,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import lcm
 
 from latsimplex import ResidueVector, close, is_lattice_pyramid
+from latsimplex import groups as groups_module
 from latsimplex._kernels import STATUS_OK, STATUS_TOO_LARGE
 from latsimplex.classify import (
     DEFAULT_NODE_BUDGET,
@@ -15,6 +16,7 @@ from latsimplex.classify import (
 )
 from latsimplex.errors import (
     BudgetExceeded,
+    CanonicalizationBudgetExceeded,
     DegenerateSimplex,
     GroupTooLarge,
     RankDeficient,
@@ -692,3 +694,129 @@ def reference_components(G: LambdaGroup) -> list[list[int]]:
         if len(supp) > 1 and not decomposable(el):
             supports.append(supp)
     return _coordinate_components(G.e, supports)
+
+
+def reference_canonical_form(G: LambdaGroup) -> CanonicalForm:
+    """Slow oracle for ``groups.canonical_form``, as it was before it had one
+    path: canonical element table under coordinate permutations.
+
+    The group is exactly the product of its restrictions to the connected
+    components of indecomposable-element supports (see ``_components``), so
+    each component is canonicalized on its own and the results merge in a
+    fixed order.  Two groups get equal canonical forms iff they differ by a
+    coordinate permutation.  Each component's search visits at most
+    ``DEFAULT_CANONICAL_BUDGET`` nodes.
+    """
+    e = G.e
+    den = G.den
+    comps = groups_module._components(G)
+    if len(comps) == 1:
+        return CanonicalForm(e=e, den=den,
+                             table=reference_canonical_table(G.elements, e))
+
+    keyed = []
+    for coords in comps:
+        sub = sorted({tuple(el[c] for c in coords) for el in G.elements})
+        keyed.append((len(coords),
+                      reference_canonical_table(tuple(sub), len(coords))))
+    keyed.sort()
+    rows = [()]
+    for _, sub_table in keyed:
+        rows = [r + piece for r in rows for piece in sub_table]
+    return CanonicalForm(e=e, den=den, table=tuple(sorted(rows)))
+
+
+def reference_canonical_table(elements, e: int):
+    """Slow oracle for ``groups._canonical_table``, as it was before it kept
+    one color per row: greedy column-choice canonicalization of one
+    connected table.
+
+    Columns are chosen step by step; every candidate is scored by the sorted
+    value multisets it induces on the current row classes, and only globally
+    minimal choices survive to the next step.
+    """
+    n = len(elements)
+    col_vals = [tuple(elements[i][c] for i in range(n)) for c in range(e)]
+    states = [((), (tuple(range(n)),))]
+    node_budget = groups_module.DEFAULT_CANONICAL_BUDGET
+    nodes = 0
+    sorted_cache: dict[tuple, tuple] = {}
+
+    def class_values(grp, c):
+        hit = sorted_cache.get((grp, c))
+        if hit is None:
+            col = col_vals[c]
+            hit = tuple(sorted(col[i] for i in grp))
+            sorted_cache[(grp, c)] = hit
+        return hit
+
+    for _ in range(e):
+        if all(len(grp) == 1 for grp in states[0][1]):
+            # every row class is a singleton: each state's completion is
+            # forced, so compare the finished tables directly
+            break
+        best_key = None
+        winners = []
+        for si, (cols, groups) in enumerate(states):
+            used = set(cols)
+            tried = set()
+            for c in range(e):
+                if c in used:
+                    continue
+                col = col_vals[c]
+                if col in tried:
+                    # identical columns refine identically; keep the first
+                    continue
+                tried.add(col)
+                nodes += 1
+                if nodes > node_budget:
+                    raise CanonicalizationBudgetExceeded(
+                        f"canonicalization exceeded {node_budget} nodes")
+                if best_key is None:
+                    best_key = tuple(class_values(grp, c) for grp in groups)
+                    winners = [(si, c)]
+                    continue
+                # compare class by class, bailing out on the first loss
+                verdict = 0
+                for gi, grp in enumerate(groups):
+                    part = class_values(grp, c)
+                    ref = best_key[gi]
+                    if part < ref:
+                        verdict = -1
+                        break
+                    if part > ref:
+                        verdict = 1
+                        break
+                if verdict < 0:
+                    best_key = tuple(class_values(grp, c) for grp in groups)
+                    winners = [(si, c)]
+                elif verdict == 0:
+                    winners.append((si, c))
+        new_states = []
+        seen = set()
+        for si, c in winners:
+            cols, groups = states[si]
+            ngroups = []
+            for grp in groups:
+                by_value: dict[int, list[int]] = {}
+                for i in grp:
+                    by_value.setdefault(elements[i][c], []).append(i)
+                for v in sorted(by_value):
+                    ngroups.append(tuple(by_value[v]))
+            ngroups = tuple(ngroups)
+            sig = (frozenset(cols + (c,)), ngroups)
+            if sig in seen:
+                continue
+            seen.add(sig)
+            new_states.append((cols + (c,), ngroups))
+        states = new_states
+    best_table = None
+    for cols, groups in states:
+        order = [i for grp in groups for i in grp]
+        remaining = sorted((c for c in range(e) if c not in cols),
+                           key=lambda c: tuple(elements[i][c] for i in order))
+        col_order = list(cols) + remaining
+        table = tuple(tuple(elements[i][c] for c in col_order) for i in order)
+        if best_table is None or table < best_table:
+            best_table = table
+    return best_table

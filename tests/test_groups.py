@@ -10,6 +10,7 @@ from _support import (
     brute_canonical_key,
     random_integer_sum_group,
     random_non_pyramid_group,
+    reference_canonical_form,
     reference_components,
 )
 from latsimplex import (
@@ -389,6 +390,43 @@ def test_canonical_form_budget_error(monkeypatch):
     monkeypatch.setattr(groups, "DEFAULT_CANONICAL_BUDGET", 10)
     with pytest.raises(CanonicalizationBudgetExceeded):
         canonical_form(G)
+
+
+def test_canonical_form_matches_reference_search():
+    """The color search against the class-by-class search it replaced,
+    table for table, on random groups, B_2..B_4 and the counterexamples at
+    s = 2 and 3."""
+    from latsimplex import counterexample_simplex
+    rng = random.Random(23)
+    cases = [random_integer_sum_group(rng, e_max=9, max_order=256, e_min=1)
+             for _ in range(200)]
+    cases += [simplex_code_group(r) for r in range(2, 5)]
+    cases += [counterexample_simplex(s) for s in (2, 3)]
+    for G in cases:
+        assert canonical_form(G) == reference_canonical_form(G), G
+
+
+def test_canonical_budget_refusals_match_reference(monkeypatch):
+    """Both searches count one node per state and distinct unchosen column,
+    so at every budget they refuse together or return the same table: B_3
+    takes 427 nodes, B_3 with every column doubled 938 and B_4 101,235."""
+    from latsimplex.errors import CanonicalizationBudgetExceeded
+    B3 = simplex_code_group(3)
+    doubled = close([ResidueVector(2, g.nums * 2) for g in B3.generators])
+    cases = [(B3, 427, (1, 7, 8, 100, 426, 427, 428)),
+             (doubled, 938, (14, 15, 500, 937, 938)),
+             (simplex_code_group(4), 101_235, (5_000, 101_234, 101_235))]
+    for G, total, budgets in cases:
+        for budget in budgets:
+            monkeypatch.setattr(groups, "DEFAULT_CANONICAL_BUDGET", budget)
+            tables = []
+            for form in (canonical_form, reference_canonical_form):
+                try:
+                    tables.append(form(G).table)
+                except CanonicalizationBudgetExceeded:
+                    tables.append(None)
+            assert tables[0] == tables[1], (G, budget)
+            assert (tables[0] is None) == (budget < total), (G, budget)
 
 
 def test_direct_sum_order_cap(monkeypatch):

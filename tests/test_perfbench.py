@@ -83,3 +83,11 @@ def test_traced_search_passes_balance():
 
 def test_traced_ehrhart_passes_balance():
     _check_traced_passes("ehrhart")
+
+
+def test_traced_roundtrip_passes_balance():
+    _check_traced_passes("roundtrip")
+
+
+def test_traced_analyze_passes_balance():
+    _check_traced_passes("analyze")
