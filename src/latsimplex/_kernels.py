@@ -24,22 +24,26 @@ def closure_table(gens, e, den, cap):
     Returns ``(status, elements)`` where ``elements`` is the sorted table of
     all group elements, or None with ``STATUS_TOO_LARGE`` past ``cap``
     elements.  The table is the fold of ``extend_closure`` over the
-    generators, starting from the trivial group.
+    generators, starting from the trivial group, sorted once at the end.
     """
     table = [(0,) * e]
     for g in gens:
         status, table = extend_closure(table, g, e, den, cap)
         if status != STATUS_OK:
             return status, None
+    table.sort()
     return STATUS_OK, table
 
 
 def extend_closure(prev, row, e, den, cap):
-    """Close ``prev`` (an already closed, sorted group table) with one row.
+    """Close ``prev`` (an already closed group table H) with one row y.
 
-    The extension is the union of the cosets ``prev + t*row`` for
-    t = 0..ord-1.  A coset that would take the table past ``cap`` is never
-    built: the result is then ``(STATUS_TOO_LARGE, None)``.
+    The extension is returned as its cosets in order: H as given, then
+    y + H, 2y + H, ... up to (m - 1)y + H, each in the order of ``prev``,
+    where m is the order of y modulo H.  So ``out[t*|H|:(t+1)*|H|]`` is the
+    coset t*y + H, and the table is not sorted.  A coset that would take
+    the table past ``cap`` is never built: the result is then
+    ``(STATUS_TOO_LARGE, None)``.
     """
     base = set(prev)
     row = tuple(row)
@@ -52,7 +56,6 @@ def extend_closure(prev, row, e, den, cap):
             return STATUS_TOO_LARGE, None
         out.extend(tuple((a + b) % den for a, b in zip(h, cur)) for h in prev)
         cur = tuple((a + b) % den for a, b in zip(cur, row))
-    out.sort()
     return STATUS_OK, out
 
 

@@ -99,23 +99,27 @@ def enumerate_groups(budget: SearchBudget, s: int,
     closure.  Untouched coordinates must stay reachable whenever full
     support is eventually required.
 
-    Once <H, y> is closed, every row y' of the same level with
-    <H, y'> = <H, y> (see ``_same_extension_rows``) is skipped without a
-    closure and counted in ``skippedRepeats``: closed, it would be a state
-    ``seen`` already holds with as many generator slots, so skipping it
-    changes nothing else.  ``dedupedStates`` counts the repeats that were
-    closed, those first met at another level.
+    Columns j - 1 and j fall in one class until some row tells them apart,
+    so the walk carries the class starts as a bit mask (bit 0 always set)
+    and ORs in each new row's.  <H, y>/H is cyclic of order m, generated by
+    y + H, so a row y' with <H, y'> = <H, y> is one of the cosets t*y + H
+    with gcd(t, m) = 1 that ``_kernels.extend_closure`` returns as slices of
+    its table.  Such a row of the same level is skipped without a closure
+    and counted in ``skippedRepeats``: closed, it would be a state ``seen``
+    already holds with as many generator slots, so skipping it changes
+    nothing else.  ``dedupedStates`` counts the repeats that were closed,
+    those first met at another level.
 
     ``DEFAULT_NODE_BUDGET`` bounds the number of candidate rows tried
     outside H, skipped ones included.  A search whose closures could pass
     ``groups.MAX_TABLE_CELLS`` cells (``budget.max_order`` times e) is
-    refused before the walk.  A level whose candidate rows alone would pass
-    the node budget, or would fill more than ``groups.MAX_TABLE_CELLS``
-    cells (e per row), is refused before its row list is complete, and a
-    level whose probe tables would hold more fields than that (D (D - 1)
-    |H| per column class, and |H| (|H| - 1) / 2 for the packing units)
-    before they are built; the partial report then holds only what was
-    found before that level.
+    refused before anything is built.  A level whose candidate rows alone
+    would pass the node budget, or would fill more than
+    ``groups.MAX_TABLE_CELLS`` cells (e per row), is refused before its row
+    list is complete, and a level whose probe tables would hold more fields
+    than that (D (D - 1) |H| per column class, and |H| (|H| - 1) / 2 for
+    the packing units) before they are built; the partial report then
+    holds only what was found before that level.
     """
     if s < 0:
         raise ValueError("degree must be nonnegative")
@@ -128,6 +132,22 @@ def enumerate_groups(budget: SearchBudget, s: int,
                 "skippedRepeats": 0}
     found: dict[tuple, tuple[CanonicalForm, LambdaGroup]] = {}
     seen: dict[tuple, int] = {}
+
+    def make_report(complete: bool) -> ClassificationReport:
+        forms = sorted(found.values(), key=lambda fg: (fg[0].den, fg[0].table))
+        return ClassificationReport(
+            budget=budget, target_degree=s,
+            require_non_pyramid=require_non_pyramid,
+            found=[cf for cf, _ in forms],
+            groups=[g for _, g in forms],
+            counters=counters, complete=complete)
+
+    cells = groups.MAX_TABLE_CELLS
+    if budget.max_order * e > cells:
+        raise BudgetExceeded(
+            f"closures of order up to {budget.max_order} on {e} coordinates "
+            f"need {budget.max_order * e} cells, more than the budget of "
+            f"{cells} table cells", partial_report=make_report(False))
     zero_row = (0,) * e
     full_mask = (1 << e) - 1
     need_full = require_non_pyramid and e > 1
@@ -146,32 +166,8 @@ def enumerate_groups(budget: SearchBudget, s: int,
     # what a coordinate of value x adds to one probe's (weight, height)
     fields = [(x != 0) | (x << width) for x in range(D)]
 
-    def make_report(complete: bool) -> ClassificationReport:
-        forms = sorted(found.values(), key=lambda fg: (fg[0].den, fg[0].table))
-        return ClassificationReport(
-            budget=budget, target_degree=s,
-            require_non_pyramid=require_non_pyramid,
-            found=[cf for cf, _ in forms],
-            groups=[g for _, g in forms],
-            counters=counters, complete=complete)
-
-    def column_classes(rows_sel):
-        if not rows_sel:
-            return [(0, e)]
-        classes = []
-        start = 0
-        prev = tuple(r[0] for r in rows_sel)
-        for j in range(1, e):
-            cur = tuple(r[j] for r in rows_sel)
-            if cur != prev:
-                classes.append((start, j - start))
-                start = j
-                prev = cur
-        classes.append((start, e - start))
-        return classes
-
-    def candidate_rows(elements, classes, forced_mask):
-        """Rows y nondecreasing within ``classes`` with <H, y> admissible.
+    def candidate_rows(elements, starts, forced_mask):
+        """Rows y nondecreasing within column classes with <H, y> admissible.
 
         H is ``elements``; its extension is the union of t*y + H for
         t = 1..D-1.  Every h in H is constant on each column class, so the
@@ -179,14 +175,14 @@ def enumerate_groups(budget: SearchBudget, s: int,
         value: ``table[a]`` of coordinate j adds those of value a at j to
         every probe's fields at once.  The walk fills coordinates left to
         right and drops a prefix as soon as a field passes its cap.
+        Bit j of ``starts`` marks a coordinate that starts a column class.
         ``forced_mask`` marks coordinates that must be nonzero; the last
         coordinate is fixed by integrality and not scanned.
         """
         n = len(elements)
         # each class's D tables hold D - 1 blocks of |H| probe fields, and
         # unit i holds i fields
-        cells = groups.MAX_TABLE_CELLS
-        need = len(classes) * D * (D - 1) * n + n * (n - 1) // 2
+        need = starts.bit_count() * D * (D - 1) * n + n * (n - 1) // 2
         if need > cells:
             raise BudgetExceeded(
                 f"a level's probe tables need {need} fields, more than the "
@@ -197,10 +193,13 @@ def enumerate_groups(budget: SearchBudget, s: int,
         top = spread * top_pair
         units = [1 << (pair * i) for i in range(n)]
         coords = []
-        for start, length in classes:
+        for j in range(e):
+            if not (starts >> j) & 1:
+                coords.append((table, -1))
+                continue
             by_value = {}
             for u, h in zip(units, elements):
-                by_value[h[start]] = by_value.get(h[start], 0) | u
+                by_value[h[j]] = by_value.get(h[j], 0) | u
             # one block of whole bytes per shift q of the class's values
             shifted = [sum(m * fields[(v + q) % D]
                            for v, m in by_value.items()
@@ -209,9 +208,7 @@ def enumerate_groups(budget: SearchBudget, s: int,
             table = [int.from_bytes(b"".join([shifted[t * a % D]
                                               for t in range(1, D)]), "little")
                      for a in range(D)]
-            lo = 1 if (forced_mask >> start) & 1 else 0
-            coords.append((table, lo))
-            coords.extend((table, -1) for _ in range(length - 1))
+            coords.append((table, (forced_mask >> j) & 1))
 
         out = []
         row = [0] * e
@@ -264,7 +261,7 @@ def enumerate_groups(budget: SearchBudget, s: int,
         if key not in found:
             found[key] = (cf, G)
 
-    def walk(rows_sel, elements, union_mask):
+    def walk(rows_sel, elements, union_mask, starts):
         nonlocal nodes
         gens_used = len(rows_sel)
         gens_left = budget.max_generators - gens_used
@@ -278,11 +275,11 @@ def enumerate_groups(budget: SearchBudget, s: int,
         forced = 0
         if need_full and gens_left == 1:
             forced = full_mask & ~union_mask
-        classes = column_classes(rows_sel)
+        n = len(elements)
         known = set(elements)
         # rows whose extension of H this level has already closed
         closed = set()
-        for row in candidate_rows(elements, classes, forced):
+        for row in candidate_rows(elements, starts, forced):
             if row in known:
                 continue
             nodes += 1
@@ -297,8 +294,11 @@ def enumerate_groups(budget: SearchBudget, s: int,
             if status == _kernels.STATUS_TOO_LARGE:
                 counters["prunedByOrder"] += 1
                 continue
-            closed.update(_same_extension_rows(
-                elements, row, len(els) // len(elements), D))
+            m = len(els) // n
+            for t in range(1, m):
+                if gcd(t, m) == 1:
+                    closed.update(els[t * n:(t + 1) * n])
+            els.sort()
             # states are deduplicated by their exact element table; a repeat
             # only matters if it now arrives with more generator slots left
             key = tuple(els)
@@ -308,36 +308,18 @@ def enumerate_groups(budget: SearchBudget, s: int,
                 continue
             seen[key] = gens_used + 1
             counters["closuresExamined"] += 1
-            mask = union_mask
+            mask, splits = union_mask, starts
             for i, a in enumerate(row):
                 if a:
                     mask |= 1 << i
+                if i and a != row[i - 1]:
+                    splits |= 1 << i
             consider(rows_sel + [row], els, mask)
-            walk(rows_sel + [row], els, mask)
+            walk(rows_sel + [row], els, mask, splits)
 
-    cells = groups.MAX_TABLE_CELLS
-    if budget.max_order * e > cells:
-        raise BudgetExceeded(
-            f"closures of order up to {budget.max_order} on {e} coordinates "
-            f"need {budget.max_order * e} cells, more than the budget of "
-            f"{cells} table cells", partial_report=make_report(False))
     consider([], [zero_row], 0)
-    walk([], [zero_row], 0)
+    walk([], [zero_row], 0, 1)
     return make_report(True)
-
-
-def _same_extension_rows(elements, row, m, D):
-    """Every y' with <H, y'> = <H, y>, for H = ``elements`` and y = ``row``.
-
-    ``m`` = |<H, y>| / |H| is the order of y modulo H, and <H, y>/H is
-    cyclic, generated by y + H.  So y' generates the same extension exactly
-    when y' lies in t*y + H for some t with gcd(t, m) = 1.
-    """
-    for t in range(1, m):
-        if gcd(t, m) == 1:
-            ty = [t * a % D for a in row]
-            yield from (tuple((a + b) % D for a, b in zip(h, ty))
-                        for h in elements)
 
 
 @dataclass
@@ -365,8 +347,9 @@ class VerificationReport:
         }
 
 
-# main1 at r reads the budget of main2 at s = 2^r: both search e = 2^(r+2) - 1
-# = f(2^(r+1)) at degree 2^r
+# What ``verify`` covers: main2 at each s, and main1 at each r with 2^r = s.
+# main1 at r reads the budget of main2 at s = 2^r: both search
+# e = 2^(r+2) - 1 = f(2^(r+1)) at degree 2^r
 DEFAULT_MAIN2_BUDGETS = {
     1: SearchBudget(e=3, max_denominator=6, max_generators=3, max_order=512),
     2: SearchBudget(e=7, max_denominator=4, max_generators=3, max_order=2048),
@@ -374,34 +357,28 @@ DEFAULT_MAIN2_BUDGETS = {
 }
 
 
-def verify_main1(r: int, budget: SearchBudget | None = None
-                 ) -> VerificationReport:
+def main1_range() -> list[int]:
+    """The r that ``verify_main1`` covers: those with 2^r a main2 budget."""
+    return [s.bit_length() - 1 for s in DEFAULT_MAIN2_BUDGETS
+            if s & (s - 1) == 0]
+
+
+def verify_main1(r: int) -> VerificationReport:
     """Uniqueness of the code group among maximal-dimension groups, bounded.
 
-    Searches e = 2^(r+2)-1, degree 2^r, non-pyramid; passes when exactly the
-    code group is found.  A budget too small to express the code group at
-    all makes the run inconclusive rather than a failure.
+    Searches e = 2^(r+2)-1, degree 2^r, non-pyramid, within the budget
+    ``DEFAULT_MAIN2_BUDGETS[2^r]``; passes when exactly the code group is
+    found, and fails otherwise.  Covers the r of ``main1_range()``.
     """
-    if r not in (0, 1):
-        raise ValueError("desk-scale verification supports r in {0, 1}")
-    if budget is None:
-        budget = DEFAULT_MAIN2_BUDGETS[1 << r]
-    expected_e = (1 << (r + 2)) - 1
-    if budget.e != expected_e:
-        raise ValueError(f"budget.e must be {expected_e} for r={r}")
+    if r not in main1_range():
+        raise ValueError(
+            f"desk-scale verification supports r in {main1_range()}")
     s = 1 << r
+    budget = DEFAULT_MAIN2_BUDGETS[s]
     report = enumerate_groups(budget, s, require_non_pyramid=True)
-    expected = canonical_form(simplex_code_group(r + 2))
-    representable = (budget.max_denominator >= 2
-                     and budget.max_generators >= r + 2
-                     and budget.max_order >= (1 << (r + 2)))
-    if report.found == [expected]:
+    if report.found == [canonical_form(simplex_code_group(r + 2))]:
         status = "pass"
         detail = "found exactly the simplex-code group"
-    elif not representable:
-        status = "inconclusive"
-        detail = ("budget cannot express the simplex-code group; "
-                  "nothing was found to contradict uniqueness")
     else:
         status = "fail"
         detail = f"found {len(report.found)} group(s); expected exactly one"
@@ -409,16 +386,17 @@ def verify_main1(r: int, budget: SearchBudget | None = None
                               status=status, found=report.found, detail=detail)
 
 
-def verify_main2(s: int, budget: SearchBudget | None = None
-                 ) -> VerificationReport:
-    """Half-integrality of every non-pyramid group at e = f(2s), bounded."""
-    if budget is None:
-        if s not in DEFAULT_MAIN2_BUDGETS:
-            raise ValueError("default budgets cover s in {1, 2, 3}")
-        budget = DEFAULT_MAIN2_BUDGETS[s]
-    expected_e = f(2 * s)
-    if budget.e != expected_e:
-        raise ValueError(f"budget.e must be f(2s) = {expected_e} for s={s}")
+def verify_main2(s: int) -> VerificationReport:
+    """Half-integrality of every non-pyramid group at e = f(2s), bounded.
+
+    Searches within the budget ``DEFAULT_MAIN2_BUDGETS[s]``, whose e is
+    f(2s); passes when every group found has entries in {0, 1/2}.  Covers
+    the s of that table.
+    """
+    if s not in DEFAULT_MAIN2_BUDGETS:
+        raise ValueError("desk-scale verification supports s in "
+                         f"{list(DEFAULT_MAIN2_BUDGETS)}")
+    budget = DEFAULT_MAIN2_BUDGETS[s]
     report = enumerate_groups(budget, s, require_non_pyramid=True)
     bad = [cf for cf in report.found if cf.den > 2]
     if not bad:

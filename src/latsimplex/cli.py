@@ -15,7 +15,8 @@ import json
 import sys
 
 from . import cayley, classify, codes, geometry, groups
-from .errors import BudgetExceeded, InvalidInput, LatSimplexError
+from .errors import (BudgetExceeded, GroupTooLarge, InvalidInput,
+                     LatSimplexError)
 from .residues import ResidueVector, as_int, int_rows
 
 
@@ -43,6 +44,10 @@ def _group_from_json(obj) -> groups.LambdaGroup:
     try:
         e = as_int(obj["e"])
         den = as_int(obj["den"])
+        # a table of even one element holds e cells
+        if e > groups.MAX_TABLE_CELLS:
+            raise GroupTooLarge(f"e = {e} exceeds the budget of "
+                                f"{groups.MAX_TABLE_CELLS} table cells")
         gens = [ResidueVector(den, nums)
                 for nums in int_rows(obj["generators"], "generators")]
         if not gens:
@@ -83,22 +88,20 @@ def _analysis_json(G: groups.LambdaGroup) -> dict:
     }
 
 
-def cmd_code(args) -> int:
-    G = codes.simplex_code_group(args.r)
-    if args.matrix:
-        _emit_text(_matrix_text(codes.half_matrix(args.r)))
-    else:
-        _emit(G.to_json())
-    return 0
-
-
-def cmd_counterexample(args) -> int:
-    G = codes.counterexample_simplex(args.s)
-    if args.matrix:
+def _emit_group(G: groups.LambdaGroup, matrix: bool) -> int:
+    if matrix:
         _emit_text(_matrix_text(G.generators))
     else:
         _emit(G.to_json())
     return 0
+
+
+def cmd_code(args) -> int:
+    return _emit_group(codes.simplex_code_group(args.r), args.matrix)
+
+
+def cmd_counterexample(args) -> int:
+    return _emit_group(codes.counterexample_simplex(args.s), args.matrix)
 
 
 def cmd_analyze(args) -> int:
@@ -163,13 +166,17 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, suite in (("r", "main1"), ("s", "main2")):
+        if getattr(args, flag) is not None and args.suite != suite:
+            raise InvalidInput(f"--{flag} applies only to --suite {suite}")
     reports = []
     if args.suite == "main1":
-        params = [args.r] if args.r is not None else [0, 1]
+        params = [args.r] if args.r is not None else classify.main1_range()
         for r in params:
             reports.append(classify.verify_main1(r).to_json())
     elif args.suite == "main2":
-        params = [args.s] if args.s is not None else [1, 2, 3]
+        params = ([args.s] if args.s is not None
+                  else list(classify.DEFAULT_MAIN2_BUDGETS))
         for s in params:
             reports.append(classify.verify_main2(s).to_json())
     else:

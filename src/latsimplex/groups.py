@@ -203,6 +203,9 @@ def close(generators, max_order: int | None = None) -> LambdaGroup:
     for g in gens:
         if g.e != e:
             raise DimensionMismatch("generators have mixed lengths")
+    if e > MAX_TABLE_CELLS:
+        raise GroupTooLarge(f"e = {e} exceeds the budget of "
+                            f"{MAX_TABLE_CELLS} table cells")
     den = 1
     for g in gens:
         den = lcm(den, g.den)

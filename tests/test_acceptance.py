@@ -16,7 +16,6 @@ from _support import (
     smith_lambda_from_vertices,
 )
 from latsimplex import (
-    SearchBudget,
     canonical_form,
     cayley_upper_bound_distinct_halves,
     code_partition,
@@ -219,7 +218,7 @@ def test_a8_bounded_search_verification():
         rep = verify_main1(0)
         assert rep.status == "pass"
         assert "inconclusive beyond this budget" in rep.banner
-        rep = verify_main1(1, budget=SearchBudget(7, 4, 3, 2048))
+        rep = verify_main1(1)
         assert rep.status == "pass"
         assert rep.found == [canonical_form(simplex_code_group(3))]
         for s in (1, 2, 3):

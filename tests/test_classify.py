@@ -14,6 +14,7 @@ from latsimplex import (
     counterexample_simplex,
     degree,
     enumerate_groups,
+    f,
     greedy_support_cover,
     simplex_code_group,
     support_cover_multiplicities,
@@ -124,17 +125,40 @@ def test_verify_main1_defaults():
     assert rep1.status == "pass"
 
 
-def test_verify_main1_inconclusive_at_denominator_one():
-    rep = verify_main1(0, budget=SearchBudget(3, 1, 3, 8))
-    assert rep.status == "inconclusive"
-    assert rep.found == []
-
-
 def test_verify_main1_rejects_bad_parameters():
+    for r in (-1, 2):
+        with pytest.raises(ValueError):
+            verify_main1(r)
+    for s in (0, 4):
+        with pytest.raises(ValueError):
+            verify_main2(s)
+
+
+def test_default_budgets_search_e_f_2s():
+    """Each row of the coverage table searches the dimension main2 names."""
+    for s, budget in DEFAULT_MAIN2_BUDGETS.items():
+        assert budget.e == f(2 * s), s
+
+
+def test_verify_coverage_follows_the_budget_table(monkeypatch, capsys):
+    """The admitted r and s, and the CLI's default lists, read the table."""
+    import json
+
+    from latsimplex import cli
+    monkeypatch.setattr(classify, "DEFAULT_MAIN2_BUDGETS",
+                        {2: DEFAULT_MAIN2_BUDGETS[2]})
+    assert classify.main1_range() == [1]
+    for suite, param in (("main1", 1), ("main2", 2)):
+        assert cli.main(["verify", "--suite", suite]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert [rep["parameter"] for rep in obj["reports"]] == [param]
+        assert obj["reports"][0]["status"] == "pass"
+    with pytest.raises(ValueError, match=r"r in \[1\]"):
+        verify_main1(0)
+    with pytest.raises(ValueError, match=r"s in \[2\]"):
+        verify_main2(1)
     with pytest.raises(ValueError):
-        verify_main1(2)
-    with pytest.raises(ValueError):
-        verify_main1(0, budget=SearchBudget(4, 6, 3, 512))
+        verify_main2(3)
 
 
 def test_verify_main2_small():
@@ -307,12 +331,13 @@ def test_cell_budget_counts_packing_units(monkeypatch):
 
 
 def test_same_extension_rows_brute_force():
-    """The rows skipped after closing <H, y> are exactly the rows outside H
-    that close to the same extension."""
+    """The rows skipped after closing <H, y>, the cosets t*y + H with
+    gcd(t, m) = 1 that ``extend_closure`` returns as slices of its table,
+    are exactly the rows outside H that close to the same extension."""
     from itertools import product
+    from math import gcd
 
-    from latsimplex._kernels import STATUS_OK, closure_table, extend_closure
-    from latsimplex.classify import _same_extension_rows
+    from latsimplex._kernels import closure_table, extend_closure
 
     rng = random.Random(97)
     checked = 0
@@ -325,9 +350,13 @@ def test_same_extension_rows_brute_force():
         _, H = closure_table(gens, e, den, den ** e)
         y = rng.choice(space)
         _, ext = extend_closure(H, y, e, den, den ** e)
-        skipped = set(_same_extension_rows(H, y, len(ext) // len(H), den))
+        n, m = len(H), len(ext) // len(H)
+        assert ext[:n] == H
+        skipped = {z for t in range(1, m) if gcd(t, m) == 1
+                   for z in ext[t * n:(t + 1) * n]}
         inside = set(H)
         same = {z for z in space if z not in inside
-                and extend_closure(H, z, e, den, den ** e) == (STATUS_OK, ext)}
+                and sorted(extend_closure(H, z, e, den, den ** e)[1])
+                == sorted(ext)}
         assert skipped == same, (e, den, gens, y)
         checked += 1

@@ -221,6 +221,10 @@ DOMAIN_ERROR_CASES = [
       "--max-gen", "1"]),
     ("verify main1 r 2", "invalid-input", None,
      ["verify", "--suite", "main1", "--r", "2"]),
+    ("verify main1 with --s", "invalid-input", None,
+     ["verify", "--suite", "main1", "--s", "3"]),
+    ("verify bounds with --r", "invalid-input", None,
+     ["verify", "--suite", "bounds", "--r", "1"]),
     ("classify degree -1", "invalid-input", None,
      ["classify", "--e", "3", "--degree", "-1", "--max-den", "2",
       "--max-gen", "1"]),
@@ -253,6 +257,17 @@ DOMAIN_ERROR_CASES = [
     ("realize past the coordinate budget", "budget-exceeded",
      json.dumps({"e": 80, "den": 1, "generators": []}),
      ["realize", "{path}"]),
+    # each passes the cell budget with its first table row; unchecked, each
+    # builds a table or a zero row of hundreds of MB before it is refused
+    ("analyze e past the cell budget", "group-too-large",
+     json.dumps({"e": 16777217, "den": 1, "generators": []}),
+     ["analyze", "{path}"]),
+    ("realize e 3*10^7", "group-too-large",
+     json.dumps({"e": 30000000, "den": 1, "generators": []}),
+     ["realize", "{path}"]),
+    ("classify e 10^8", "budget-exceeded", None,
+     ["classify", "--e", "100000000", "--degree", "1", "--max-den", "2",
+      "--max-gen", "1", "--max-order", "2"]),
     # counting n = 0..20 alone would take seconds
     ("wide dilation past the count budget", "budget-exceeded",
      json.dumps({"d": 3, "vertices": [[0, 0, 0], [25, 0, 0], [0, 25, 0],

@@ -74,6 +74,8 @@ def test_close_respects_the_cell_budget(monkeypatch):
     assert close(half_matrix(3)).order == 8  # 8 x 7 cells
     with pytest.raises(GroupTooLarge):
         close(half_matrix(4))  # 16 x 15 cells
+    with pytest.raises(GroupTooLarge):
+        close([ResidueVector(1, (0,) * 101)])  # one element, 101 cells
 
 
 def test_extend_matches_full_closure():
@@ -93,7 +95,7 @@ def test_extend_matches_full_closure():
         st1, full = _kernels.closure_table(gens, e, den, 4096)
         st2, ext = _kernels.extend_closure(base, gens[-1], e, den, 4096)
         assert st1 == st2 == 0
-        assert full == ext
+        assert full == sorted(ext)
 
 
 def test_closure_table_large_denominator():
