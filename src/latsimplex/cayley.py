@@ -20,6 +20,7 @@ from .codes import half_matrix, projective_matrix
 from .errors import HypothesesNotMet, NonIntegralHeights, SolverCapExceeded
 from .groups import (LambdaGroup, _coordinate_components, _mask_to_set,
                      degree)
+from .residues import as_int
 
 DEFAULT_NODE_BUDGET = 2_000_000
 # Least null sizes are found exactly up to this many sizes past the
@@ -29,8 +30,8 @@ _EXACT_SIZES_PAST_MIN = 2
 
 
 def is_null(G: LambdaGroup, S) -> bool:
-    """True iff the coordinate sums over S are integral on the whole group."""
-    S = [int(i) for i in S]
+    """True iff the sums over the coordinate set S are integral on G."""
+    S = {as_int(i) for i in S}
     if any(i < 1 or i > G.e for i in S):
         raise ValueError("coordinate indices out of range")
     den = G.den

@@ -110,16 +110,15 @@ def enumerate_groups(budget: SearchBudget, s: int,
     nothing else.  ``dedupedStates`` counts the repeats that were closed,
     those first met at another level.
 
-    ``DEFAULT_NODE_BUDGET`` bounds the number of candidate rows tried
-    outside H, skipped ones included.  A search whose closures could pass
-    ``groups.MAX_TABLE_CELLS`` cells (``budget.max_order`` times e) is
-    refused before anything is built.  A level whose candidate rows alone
-    would pass the node budget, or would fill more than
-    ``groups.MAX_TABLE_CELLS`` cells (e per row), is refused before its row
-    list is complete, and a level whose probe tables would hold more fields
-    than that (D (D - 1) |H| per column class, and |H| (|H| - 1) / 2 for
-    the packing units) before they are built; the partial report then
-    holds only what was found before that level.
+    ``DEFAULT_NODE_BUDGET`` bounds the number of candidate rows outside H,
+    skipped ones included; each is charged once, as its level's row list
+    makes it.  A search whose closures could pass ``groups.MAX_TABLE_CELLS``
+    cells (``budget.max_order`` times e) is refused before anything is
+    built.  A level is refused while its row list is made once the rows
+    pass the node budget or fill more than ``groups.MAX_TABLE_CELLS`` cells
+    (e per row), and before its probe tables are built if they would hold
+    more fields than that (D (D - 1) |H| per column class).  The partial
+    report of a refusal holds only what was found before that level.
     """
     if s < 0:
         raise ValueError("degree must be nonnegative")
@@ -143,15 +142,9 @@ def enumerate_groups(budget: SearchBudget, s: int,
             counters=counters, complete=complete)
 
     cells = groups.MAX_TABLE_CELLS
-    if budget.max_order * e > cells:
-        raise BudgetExceeded(
-            f"closures of order up to {budget.max_order} on {e} coordinates "
-            f"need {budget.max_order * e} cells, more than the budget of "
-            f"{cells} table cells", partial_report=make_report(False))
     zero_row = (0,) * e
     full_mask = (1 << e) - 1
     need_full = require_non_pyramid and e > 1
-    node_budget = DEFAULT_NODE_BUDGET
     nodes = 0
     # Each probe t*y + h keeps its weight and its height in two biased
     # fields of ``width`` bits; a field's top bit is set once its partial
@@ -159,71 +152,58 @@ def enumerate_groups(budget: SearchBudget, s: int,
     # that is seen.  A multiple of 4 bits makes a pair of fields whole bytes.
     width = (max(max_w, max_h) + D).bit_length() + 1
     width += -width % 4
-    pair = 2 * width
     half = 1 << (width - 1)
-    top_pair = half | (half << width)
-    bias_pair = (half - 1 - max_w) | ((half - 1 - max_h) << width)
-    # what a coordinate of value x adds to one probe's (weight, height)
-    fields = [(x != 0) | (x << width) for x in range(D)]
+    top_pair = (half | (half << width)).to_bytes(width // 4, "little")
+    bias_pair = ((half - 1 - max_w) | ((half - 1 - max_h) << width)
+                 ).to_bytes(width // 4, "little")
+    # the pair a coordinate of value x adds to one probe, listed twice so
+    # that ``fields[v + q]`` is value v + q mod D
+    fields = [((x != 0) | (x << width)).to_bytes(width // 4, "little")
+              for x in range(D)] * 2
 
     def candidate_rows(elements, starts, forced_mask):
-        """Rows y nondecreasing within column classes with <H, y> admissible.
+        """Rows y outside H, nondecreasing within column classes, with
+        <H, y> admissible; each costs one node as it is made.
 
         H is ``elements``; its extension is the union of t*y + H for
-        t = 1..D-1.  Every h in H is constant on each column class, so the
-        probe t*y + h gains a fixed weight and height from each coordinate
-        value: ``table[a]`` of coordinate j adds those of value a at j to
-        every probe's fields at once.  The walk fills coordinates left to
-        right and drops a prefix as soon as a field passes its cap.
-        Bit j of ``starts`` marks a coordinate that starts a column class.
-        ``forced_mask`` marks coordinates that must be nonzero; the last
-        coordinate is fixed by integrality and not scanned.
+        t = 1..D-1.  Every h in H is constant on each column class, so
+        ``table[a]`` of coordinate j holds at probe i of block t - 1 the
+        pair of value h_i[j] + t*a and adds it to every probe t*y + h_i at
+        once.  The walk fills coordinates left to right and drops a prefix
+        as soon as a field passes its cap.  Bit j of ``starts`` marks a
+        coordinate that starts a column class.  ``forced_mask`` marks
+        coordinates that must be nonzero; the last coordinate is fixed by
+        integrality and not scanned.
         """
         n = len(elements)
-        # each class's D tables hold D - 1 blocks of |H| probe fields, and
-        # unit i holds i fields
-        need = starts.bit_count() * D * (D - 1) * n + n * (n - 1) // 2
+        probes = n * (D - 1)
+        # each class's D tables hold D - 1 blocks of |H| probe fields
+        need = starts.bit_count() * D * probes
         if need > cells:
             raise BudgetExceeded(
                 f"a level's probe tables need {need} fields, more than the "
-                f"budget of {cells} table cells",
-                partial_report=make_report(False))
-        block = n * pair
-        spread = ((1 << (block * (D - 1))) - 1) // ((1 << pair) - 1)
-        top = spread * top_pair
-        units = [1 << (pair * i) for i in range(n)]
+                f"budget of {cells} table cells")
+        top = int.from_bytes(top_pair * probes, "little")
         coords = []
         for j in range(e):
             if not (starts >> j) & 1:
                 coords.append((table, -1))
                 continue
-            by_value = {}
-            for u, h in zip(units, elements):
-                by_value[h[j]] = by_value.get(h[j], 0) | u
-            # one block of whole bytes per shift q of the class's values
-            shifted = [sum(m * fields[(v + q) % D]
-                           for v, m in by_value.items()
-                           ).to_bytes(block // 8, "little")
+            # one block of |H| probe pairs per shift q of the class's values
+            shifted = [b"".join([fields[h[j] + q] for h in elements])
                        for q in range(D)]
             table = [int.from_bytes(b"".join([shifted[t * a % D]
                                               for t in range(1, D)]), "little")
                      for a in range(D)]
             coords.append((table, (forced_mask >> j) & 1))
 
+        known = set(elements)
         out = []
         row = [0] * e
         last = e - 1
-        # rows of H cost no node, every other row costs one: past this many
-        # rows the walk is bound to exceed its node budget.  The list itself
-        # holds at most as many cells as an element table.
-        limit = node_budget - nodes + n
-        stop = "enumeration exceeded the node budget"
-        if cells // e < limit:
-            limit = cells // e
-            stop = (f"a level's candidate rows exceed the budget of {cells} "
-                    "table cells")
 
         def rec(j, acc, total, prev):
+            nonlocal nodes
             table, lo = coords[j]
             low = prev if lo < 0 else lo
             if j == last:
@@ -233,19 +213,25 @@ def enumerate_groups(budget: SearchBudget, s: int,
                 # heights of z and of the probe -z, which add up to 2sD, are
                 # both sD, so that z's last entry is 0
                 a = -total % D
-                if a >= low:
-                    row[j] = a
-                    out.append(tuple(row))
-                    if len(out) > limit:
-                        raise BudgetExceeded(
-                            stop, partial_report=make_report(False))
+                row[j] = a
+                if a < low or tuple(row) in known:
+                    return
+                nodes += 1
+                if nodes > DEFAULT_NODE_BUDGET:
+                    raise BudgetExceeded(
+                        "enumeration exceeded the node budget")
+                out.append(tuple(row))
+                # the list holds at most as many cells as an element table
+                if len(out) > cells // e:
+                    raise BudgetExceeded("a level's candidate rows exceed "
+                                         f"the budget of {cells} table cells")
                 return
             for a in range(low, D):
                 nxt = acc + table[a]
                 if not nxt & top:
                     row[j] = a
                     rec(j + 1, nxt, total + a, a)
-        rec(0, spread * bias_pair, 0, 0)
+        rec(0, int.from_bytes(bias_pair * probes, "little"), 0, 0)
         return out
 
     def consider(rows_sel, elements, mask):
@@ -262,7 +248,6 @@ def enumerate_groups(budget: SearchBudget, s: int,
             found[key] = (cf, G)
 
     def walk(rows_sel, elements, union_mask, starts):
-        nonlocal nodes
         gens_used = len(rows_sel)
         gens_left = budget.max_generators - gens_used
         if gens_left <= 0:
@@ -276,16 +261,9 @@ def enumerate_groups(budget: SearchBudget, s: int,
         if need_full and gens_left == 1:
             forced = full_mask & ~union_mask
         n = len(elements)
-        known = set(elements)
         # rows whose extension of H this level has already closed
         closed = set()
         for row in candidate_rows(elements, starts, forced):
-            if row in known:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded("enumeration exceeded the node budget",
-                                     partial_report=make_report(False))
             if row in closed:
                 counters["skippedRepeats"] += 1
                 continue
@@ -317,8 +295,17 @@ def enumerate_groups(budget: SearchBudget, s: int,
             consider(rows_sel + [row], els, mask)
             walk(rows_sel + [row], els, mask, splits)
 
-    consider([], [zero_row], 0)
-    walk([], [zero_row], 0, 1)
+    try:
+        if budget.max_order * e > cells:
+            raise BudgetExceeded(
+                f"closures of order up to {budget.max_order} on {e} "
+                f"coordinates need {budget.max_order * e} cells, more than "
+                f"the budget of {cells} table cells")
+        consider([], [zero_row], 0)
+        walk([], [zero_row], 0, 1)
+    except BudgetExceeded as exc:
+        exc.partial_report = make_report(False)
+        raise
     return make_report(True)
 
 

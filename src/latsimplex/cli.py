@@ -303,7 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-den", type=int, required=True)
     p.add_argument("--max-gen", type=int, required=True)
     p.add_argument("--allow-pyramid", action="store_true")
-    p.add_argument("--max-order", type=int, default=4096)
+    p.add_argument("--max-order", type=int,
+                   default=classify.SearchBudget.max_order)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="curated bounded verification suites")

@@ -114,11 +114,21 @@ def counterexample_simplex(s: int) -> LambdaGroup:
 
     Writes 2s = 2^{u_1} + ... + 2^{u_p} with u_1 > ... > u_p >= 1 and stacks
     the half matrices of dimensions u_i + 1 on disjoint coordinate blocks.
+    Raises GroupTooLarge before building anything when the block sum would
+    pass the order cap or the cell budget; its partial sums are smaller.
     """
     if s < 2:
         raise ValueError("s must be at least 2")
     exponents = [u for u in range((2 * s).bit_length()) if (2 * s) >> u & 1]
     exponents.reverse()
+    e = 4 * s - (2 * s).bit_count()
+    # clamped past the cell budget, so that a huge s builds no huge integer
+    order = 1 << min(sum(u + 1 for u in exponents),
+                     groups.MAX_TABLE_CELLS.bit_length())
+    if order > groups.DEFAULT_MAX_ORDER or order * e > groups.MAX_TABLE_CELLS:
+        raise GroupTooLarge(
+            f"the counterexample for s = {s} on {e} coordinates exceeds the "
+            f"order cap or the budget of {groups.MAX_TABLE_CELLS} table cells")
     G = simplex_code_group(exponents[0] + 1)
     for u in exponents[1:]:
         G = direct_sum(G, simplex_code_group(u + 1))

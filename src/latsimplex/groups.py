@@ -23,7 +23,7 @@ from .errors import (
     HypothesesNotMet,
     NonIntegralHeights,
 )
-from .residues import ResidueVector
+from .residues import ResidueVector, as_int
 
 DEFAULT_MAX_ORDER = 1 << 20
 # Memory budget for one element table, counted in cells (order times e) and
@@ -359,7 +359,7 @@ def half_lemma_witness(G: LambdaGroup, x: ResidueVector,
 
 def restrict(G: LambdaGroup, S) -> LambdaGroup:
     """Image of the group under projection to the coordinates in S."""
-    S = sorted(set(int(i) for i in S))
+    S = sorted({as_int(i) for i in S})
     if not S:
         raise EmptySubset("restriction needs a nonempty coordinate set")
     if S[0] < 1 or S[-1] > G.e:

@@ -41,6 +41,12 @@ def test_is_null_examples():
     B3 = simplex_code_group(3)
     assert is_null(B3, {2, 3, 4})
     assert is_null(B3, range(1, 8))
+    # S is a set of integers: a repeated index counts once, and a float is
+    # refused, not truncated
+    assert not is_null(B2, [1, 1])
+    assert is_null(B2, [1, 2, 3, 3])
+    with pytest.raises(TypeError):
+        is_null(B2, [1.9, 2])
 
 
 def test_generator_nullity_matches_all_elements():

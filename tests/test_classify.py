@@ -102,6 +102,9 @@ def test_enumeration_pruning_soundness():
     for e, den, gens, s in SEARCH_BUDGETS:
         _assert_same_walk(SearchBudget(e, den, gens, 4096), s)
 
+    # 24-bit pairs: the height cap s * D = 512 plus D needs 12-bit fields
+    _assert_same_walk(SearchBudget(2, 512, 1, 512), 1)
+
 
 def test_enumeration_is_deterministic():
     budget = SearchBudget(4, 4, 3, 512)
@@ -277,8 +280,8 @@ def test_enumeration_node_budget_carries_partial_report(monkeypatch):
 
 
 def test_node_budget_bounds_row_generation(monkeypatch):
-    """A level with more candidate rows than the budget allows is refused
-    before its row list is built."""
+    """A level whose rows pass the node budget is refused as they are made,
+    before its row list is complete or any of its rows is closed."""
     from latsimplex.errors import BudgetExceeded
     monkeypatch.setattr(classify, "DEFAULT_NODE_BUDGET", 1000)
     start = time.perf_counter()
@@ -317,17 +320,38 @@ def test_cell_budget_bounds_probe_tables(monkeypatch):
     assert partial.counters["closuresExamined"] >= 1
 
 
-def test_cell_budget_counts_packing_units(monkeypatch):
-    """A level's probe tables are counted with the |H| (|H| - 1) / 2 fields
-    of their packing units: the level of 3 column classes over a group of
-    order 6 at denominator 6 needs 3 * 6 * 5 * 6 + 15 = 555 fields."""
+def test_cell_budget_counts_probe_fields(monkeypatch):
+    """A level's probe tables hold D (D - 1) |H| fields per column class:
+    the level of 3 column classes over a group of order 6 at denominator 6
+    needs 3 * 6 * 5 * 6 = 540 fields."""
     from latsimplex import groups
     from latsimplex.errors import BudgetExceeded
-    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 554)
-    with pytest.raises(BudgetExceeded, match="need 555 fields"):
+    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 539)
+    with pytest.raises(BudgetExceeded, match="need 540 fields"):
         enumerate_groups(SearchBudget(3, 6, 3, 6), 1)
-    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 555)
+    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 540)
     assert enumerate_groups(SearchBudget(3, 6, 3, 6), 1).complete
+
+
+def test_node_budget_threshold(monkeypatch):
+    """Every row outside H is charged once, so a complete walk charges the
+    rows it closed, skipped, deduplicated or pruned by order: it completes
+    at exactly that node budget and is refused one below."""
+    from latsimplex.errors import BudgetExceeded
+    cases = [(SearchBudget(7, 4, 3, 2048), 2), (SearchBudget(8, 6, 3, 6), 2),
+             (SearchBudget(6, 2, 4, 4096), 3), (SearchBudget(5, 3, 3, 729), 2),
+             (SearchBudget(9, 4, 3, 4096), 2)]
+    reports = [enumerate_groups(budget, s) for budget, s in cases]
+    for (budget, s), report in zip(cases, reports):
+        c = report.counters
+        n = (c["closuresExamined"] + c["dedupedStates"]
+             + c["skippedRepeats"] + c["prunedByOrder"])
+        monkeypatch.setattr(classify, "DEFAULT_NODE_BUDGET", n)
+        again = enumerate_groups(budget, s)
+        assert again.complete and again.counters == c, budget
+        monkeypatch.setattr(classify, "DEFAULT_NODE_BUDGET", n - 1)
+        with pytest.raises(BudgetExceeded, match="node budget"):
+            enumerate_groups(budget, s)
 
 
 def test_same_extension_rows_brute_force():

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latsimplex
-from latsimplex import cli, groups
+from latsimplex import classify, cli, groups
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +254,14 @@ DOMAIN_ERROR_CASES = [
      ["counterexample", "--s", "100000000"]),
     ("counterexample s 10^9", "group-too-large", None,
      ["counterexample", "--s", "1000000000"]),
+    # unchecked, each builds code groups for about a second or more (B_12,
+    # of 4096 x 4095 cells, at s = 2047) before a block sum is refused
+    ("counterexample s 600", "group-too-large", None,
+     ["counterexample", "--s", "600"]),
+    ("counterexample s 1023", "group-too-large", None,
+     ["counterexample", "--s", "1023"]),
+    ("counterexample s 2047", "group-too-large", None,
+     ["counterexample", "--s", "2047"]),
     ("realize past the coordinate budget", "budget-exceeded",
      json.dumps({"e": 80, "den": 1, "generators": []}),
      ["realize", "{path}"]),
@@ -382,11 +390,11 @@ def test_cli_survives_arbitrary_json(case):
     assert not (non_integer and code == 0)
 
 
-def test_budgets_are_module_constants():
+def test_budgets_are_module_constants(monkeypatch):
     """Budgets are read from the module that owns them, not passed per call:
     no public callable takes ``node_budget``, only ``close`` and the
     search's own ``SearchBudget`` take ``max_order``, and only ``classify``
-    has ``--max-order``."""
+    has ``--max-order``, whose default is ``SearchBudget``'s."""
     takes = {}
     for name in latsimplex.__all__:
         obj = getattr(latsimplex, name)
@@ -400,6 +408,11 @@ def test_budgets_are_module_constants():
                     if isinstance(a, argparse._SubParsersAction)]
     assert [name for name, p in subparsers.choices.items()
             if "--max-order" in p._option_string_actions] == ["classify"]
+    monkeypatch.setattr(classify.SearchBudget, "max_order", 4097)
+    args = cli._build_parser().parse_args(
+        ["classify", "--e", "3", "--degree", "1", "--max-den", "2",
+         "--max-gen", "1"])
+    assert args.max_order == 4097
 
 
 def test_solver_cap_error_is_machine_readable(capsys, tmp_path):

@@ -271,6 +271,10 @@ def test_restrict():
     assert canonical_form(head) == canonical_form(B3)
     with pytest.raises(EmptySubset):
         restrict(B3, [])
+    # S is a set of integers: a float is refused, not truncated
+    assert restrict(B3, [2, 1, 2]).elements == restrict(B3, [1, 2]).elements
+    with pytest.raises(TypeError):
+        restrict(B3, [1.5, 2])
 
 
 def test_direct_sum():
