@@ -279,11 +279,13 @@ def code_partition(r: int) -> CayleyPartition:
     of u = 0 and the 4-block of the other (0, w).  Either way there are
     floor((2^n - 1)/3) blocks, which ``cayley_upper_bound_distinct_halves``
     caps, so the partition is maximum.  Every block is validated against
-    the generator rows.
+    the generator rows.  The projective matrix is built first, so an r past
+    its cell budget is refused with GroupTooLarge before any block is made.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     n = r + 2
+    A = projective_matrix(n)
     shift = 3 * (n % 2)               # the bits of w; u takes the rest
     low = ((1 << n - shift) - 1) // 3  # the low bit of every pair of u
 
@@ -303,7 +305,6 @@ def code_partition(r: int) -> CayleyPartition:
                   for x, y, z in tails]
     if shift:
         vec_blocks += [[1, 2, 3], [4, 5, 6, 7]]
-    A = projective_matrix(n)
     col_of: dict[int, int] = {}
     for j in range(1, A.cols + 1):
         v = 0

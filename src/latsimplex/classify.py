@@ -93,11 +93,15 @@ def enumerate_groups(budget: SearchBudget, s: int,
     a permutation fixing the walked prefix, so this meets every group up to
     coordinate permutation), and closure states are deduplicated by their
     exact element table together with the number of generators spent.
-    An element of weight above 2s or height above s stays in every
-    supergroup, so a row y is emitted only when its whole extension <H, y>
-    of the current group H has neither; only the order cap is left to the
-    closure.  Untouched coordinates must stay reachable whenever full
-    support is eventually required.
+    An element of height above s stays in every supergroup, so a row y is
+    emitted only when its whole extension <H, y> of the current group H has
+    none; only the order cap is left to the closure.  The walk caps heights
+    only, and the weight bound 2s follows: a nonzero entry x of z adds x to
+    the numerator sum of z and D - x to that of -z, so over any prefix the
+    two sums add up to D times its weight, and -z lies in <H, y> with z.  A
+    prefix of weight above 2s thus passes sD on z or on -z at that prefix.
+    Untouched coordinates must stay reachable whenever full support is
+    eventually required.
 
     Columns j - 1 and j fall in one class until some row tells them apart,
     so the walk carries the class starts as a bit mask (bit 0 always set)
@@ -123,7 +127,6 @@ def enumerate_groups(budget: SearchBudget, s: int,
     if s < 0:
         raise ValueError("degree must be nonnegative")
     e, D = budget.e, budget.max_denominator
-    max_w = 2 * s
     max_h = s * D
     counters = {"closuresExamined": 0, "prunedByWeight": 0,
                 "prunedByDegree": 0, "prunedByOrder": 0,
@@ -146,20 +149,17 @@ def enumerate_groups(budget: SearchBudget, s: int,
     full_mask = (1 << e) - 1
     need_full = require_non_pyramid and e > 1
     nodes = 0
-    # Each probe t*y + h keeps its weight and its height in two biased
-    # fields of ``width`` bits; a field's top bit is set once its partial
-    # sum passes its cap, and no field can overflow into the next before
-    # that is seen.  A multiple of 4 bits makes a pair of fields whole bytes.
-    width = (max(max_w, max_h) + D).bit_length() + 1
-    width += -width % 4
+    # Each probe t*y + h keeps its height in a biased field of ``width``
+    # bits, whole bytes; its top bit is set once the partial sum passes sD,
+    # and no field can overflow into the next before that is seen.
+    width = (max_h + D).bit_length() + 1
+    width += -width % 8
     half = 1 << (width - 1)
-    top_pair = (half | (half << width)).to_bytes(width // 4, "little")
-    bias_pair = ((half - 1 - max_w) | ((half - 1 - max_h) << width)
-                 ).to_bytes(width // 4, "little")
-    # the pair a coordinate of value x adds to one probe, listed twice so
+    top_field = half.to_bytes(width // 8, "little")
+    bias_field = (half - 1 - max_h).to_bytes(width // 8, "little")
+    # the field a coordinate of value x adds to one probe, listed twice so
     # that ``fields[v + q]`` is value v + q mod D
-    fields = [((x != 0) | (x << width)).to_bytes(width // 4, "little")
-              for x in range(D)] * 2
+    fields = [x.to_bytes(width // 8, "little") for x in range(D)] * 2
 
     def candidate_rows(elements, starts, forced_mask):
         """Rows y outside H, nondecreasing within column classes, with
@@ -168,9 +168,9 @@ def enumerate_groups(budget: SearchBudget, s: int,
         H is ``elements``; its extension is the union of t*y + H for
         t = 1..D-1.  Every h in H is constant on each column class, so
         ``table[a]`` of coordinate j holds at probe i of block t - 1 the
-        pair of value h_i[j] + t*a and adds it to every probe t*y + h_i at
+        field of value h_i[j] + t*a and adds it to every probe t*y + h_i at
         once.  The walk fills coordinates left to right and drops a prefix
-        as soon as a field passes its cap.  Bit j of ``starts`` marks a
+        as soon as a field passes sD.  Bit j of ``starts`` marks a
         coordinate that starts a column class.  ``forced_mask`` marks
         coordinates that must be nonzero; the last coordinate is fixed by
         integrality and not scanned.
@@ -183,13 +183,13 @@ def enumerate_groups(budget: SearchBudget, s: int,
             raise BudgetExceeded(
                 f"a level's probe tables need {need} fields, more than the "
                 f"budget of {cells} table cells")
-        top = int.from_bytes(top_pair * probes, "little")
+        top = int.from_bytes(top_field * probes, "little")
         coords = []
         for j in range(e):
             if not (starts >> j) & 1:
                 coords.append((table, -1))
                 continue
-            # one block of |H| probe pairs per shift q of the class's values
+            # one block of |H| probe fields per shift q of the class's values
             shifted = [b"".join([fields[h[j] + q] for h in elements])
                        for q in range(D)]
             table = [int.from_bytes(b"".join([shifted[t * a % D]
@@ -208,10 +208,7 @@ def enumerate_groups(budget: SearchBudget, s: int,
             low = prev if lo < 0 else lo
             if j == last:
                 # the last entry breaks no cap: a probe's sum is a multiple
-                # of D, so it stays within sD; and z = t*y + h can pass
-                # weight 2s only if its prefix weight is 2s, when the prefix
-                # heights of z and of the probe -z, which add up to 2sD, are
-                # both sD, so that z's last entry is 0
+                # of D, so it stays within sD
                 a = -total % D
                 row[j] = a
                 if a < low or tuple(row) in known:
@@ -231,7 +228,7 @@ def enumerate_groups(budget: SearchBudget, s: int,
                 if not nxt & top:
                     row[j] = a
                     rec(j + 1, nxt, total + a, a)
-        rec(0, int.from_bytes(bias_pair * probes, "little"), 0, 0)
+        rec(0, int.from_bytes(bias_field * probes, "little"), 0, 0)
         return out
 
     def consider(rows_sel, elements, mask):
@@ -254,7 +251,7 @@ def enumerate_groups(budget: SearchBudget, s: int,
             return
         if need_full:
             missing = e - union_mask.bit_count()
-            if missing > gens_left * max_w:
+            if missing > gens_left * 2 * s:
                 counters["prunedBySupport"] += 1
                 return
         forced = 0

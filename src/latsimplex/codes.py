@@ -40,9 +40,18 @@ class BinaryMatrix:
 
 
 def projective_matrix(r: int) -> BinaryMatrix:
-    """The r x (2^r - 1) matrix of all nonzero binary column vectors."""
+    """The r x (2^r - 1) matrix of all nonzero binary column vectors.
+
+    Raises GroupTooLarge before building anything when its r (2^r - 1)
+    cells would exceed ``groups.MAX_TABLE_CELLS``.
+    """
     if r < 1:
         raise ValueError("r must be at least 1")
+    budget = groups.MAX_TABLE_CELLS
+    # as in simplex_code_group, a huge r builds no huge integer
+    if r > budget.bit_length() or r * ((1 << r) - 1) > budget:
+        raise GroupTooLarge(f"the projective matrix for r = {r} exceeds the "
+                            f"budget of {budget} table cells")
     order = sorted(range(1, 1 << r), key=lambda v: (-v.bit_count(), -v))
     bits = tuple(
         tuple((v >> (r - 1 - i)) & 1 for v in order) for i in range(r))

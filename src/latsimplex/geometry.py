@@ -95,7 +95,7 @@ def hermite_normal_form(mat):
     H is upper staircase with positive pivots and entries above each pivot
     reduced into [0, pivot); U is unimodular.  Zero rows sink to the bottom.
     """
-    rows = [list(map(int, r)) for r in mat]
+    rows = [list(map(as_int, r)) for r in mat]
     m = len(rows)
     n = len(rows[0]) if m else 0
     U = _identity(m)
@@ -128,7 +128,7 @@ def smith_normal_form(mat):
     Diagonal entries are nonnegative and form a divisibility chain; U and V
     are unimodular.  Columns are cleared as the rows of the transposes.
     """
-    A = [list(map(int, row)) for row in mat]
+    A = [list(map(as_int, row)) for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
     U = _identity(m)
@@ -262,13 +262,17 @@ class LatticeSimplex:
     vertices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.d < 0:
+        d = as_int(self.d)
+        vertices = tuple(tuple(map(as_int, v)) for v in self.vertices)
+        if d < 0:
             raise ValueError("dimension must be nonnegative")
-        if len(self.vertices) != self.d + 1:
-            raise ValueError(f"need exactly {self.d + 1} vertices")
-        for v in self.vertices:
-            if len(v) != self.d:
+        if len(vertices) != d + 1:
+            raise ValueError(f"need exactly {d + 1} vertices")
+        for v in vertices:
+            if len(v) != d:
                 raise ValueError("vertex length does not match the dimension")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "vertices", vertices)
         det, adj = _det_adjugate(self.bordered())
         if det == 0:
             raise DegenerateSimplex("vertices are affinely dependent")
@@ -287,8 +291,7 @@ class LatticeSimplex:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LatticeSimplex":
-        return cls(as_int(obj["d"]),
-                   tuple(int_rows(obj["vertices"], "vertices")))
+        return cls(obj["d"], int_rows(obj["vertices"], "vertices"))
 
 
 @dataclass(frozen=True)
@@ -427,7 +430,7 @@ def h_star_from_counts(counts, d: int) -> HStarPolynomial:
     """
     if isinstance(counts, EhrhartTable):
         counts = counts.counts
-    counts = [int(c) for c in counts]
+    counts = list(map(as_int, counts))
     if len(counts) < d + 1:
         raise InconsistentCounts(f"need counts for every n in 0..{d}")
     coeffs = []

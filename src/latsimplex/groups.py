@@ -16,6 +16,7 @@ from operator import add
 
 from . import _kernels
 from .errors import (
+    BudgetExceeded,
     CanonicalizationBudgetExceeded,
     DimensionMismatch,
     EmptySubset,
@@ -302,11 +303,16 @@ def atoms(vectors) -> dict[frozenset[int], frozenset[int]]:
     """A_J = coordinates supported by exactly the vectors indexed by J.
 
     Keys run over all nonempty J subseteq [k]; values are pairwise disjoint.
+    Raises BudgetExceeded before building anything when the 2^k - 1 keys
+    would exceed ``MAX_TABLE_CELLS``.
     """
     vectors = list(vectors)
     k = len(vectors)
     if k == 0:
         raise ValueError("need at least one vector")
+    if k > MAX_TABLE_CELLS.bit_length() or (1 << k) - 1 > MAX_TABLE_CELLS:
+        raise BudgetExceeded(f"the atoms of {k} vectors exceed the budget of "
+                             f"{MAX_TABLE_CELLS} table cells")
     e = vectors[0].e
     for v in vectors:
         if v.e != e:

@@ -117,7 +117,7 @@ class ResidueVector:
 
     def rescale(self, new_den: int) -> "ResidueVector":
         """Change representation to ``new_den``, a multiple of ``den``."""
-        new_den = int(new_den)
+        new_den = as_int(new_den)
         if new_den % self.den != 0:
             raise DenominatorMismatch(
                 f"{new_den} is not a multiple of {self.den}")

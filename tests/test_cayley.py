@@ -1,6 +1,7 @@
 """Null blocks, the max-partition solver, bounds and decomposition families."""
 
 import random
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from latsimplex import (
 )
 from latsimplex import cayley
 from latsimplex.errors import (
+    GroupTooLarge,
     HypothesesNotMet,
     NonIntegralHeights,
     SolverCapExceeded,
@@ -186,6 +188,15 @@ def test_code_partition_counts_and_validity():
             G = simplex_code_group(n)
             assert validate_partition(G, part)
             assert len(part) == cayley_upper_bound_distinct_halves(G)
+
+
+def test_code_partition_is_refused_before_any_block():
+    # 2^42 - 1 coordinates: the projective matrix's budget refuses it at
+    # once, before the blocks over 2^42 values are made
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLarge):
+        code_partition(40)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decomposition_within_solver_bounds():

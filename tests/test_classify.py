@@ -22,7 +22,7 @@ from latsimplex import (
     verify_main1,
     verify_main2,
 )
-from latsimplex import classify
+from latsimplex import _kernels, classify
 from latsimplex.classify import DEFAULT_MAIN2_BUDGETS
 from latsimplex.errors import HypothesesNotMet
 
@@ -55,10 +55,22 @@ def _assert_same_walk(budget, s, **flags):
     # every row the oracle closed that this walk may close as well
     closed = sum(n for name, n in ref.counters.items()
                  if name != "prunedBySupport")
+    case = (budget, s, flags)
+    extend = _kernels.extend_closure
+
+    def capped_extend(prev, row, e, den, cap):
+        # the walk caps heights only; every table it accepts must also keep
+        # weights within 2s
+        status, els = extend(prev, row, e, den, cap)
+        if status == _kernels.STATUS_OK:
+            assert max(e - el.count(0) for el in els) <= 2 * s, (case, row)
+            assert max(map(sum, els)) <= s * den, (case, row)
+        return status, els
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify, "DEFAULT_NODE_BUDGET", closed)
+        mp.setattr(_kernels, "extend_closure", capped_extend)
         ours = enumerate_groups(budget, s, **flags)
-    case = (budget, s, flags)
     assert ours.complete and ref.complete, case
     assert ours.found == ref.found, case
     assert ([[g.nums for g in G.generators] for G in ours.groups]
@@ -102,8 +114,12 @@ def test_enumeration_pruning_soundness():
     for e, den, gens, s in SEARCH_BUDGETS:
         _assert_same_walk(SearchBudget(e, den, gens, 4096), s)
 
-    # 24-bit pairs: the height cap s * D = 512 plus D needs 12-bit fields
+    # 16-bit fields: the height cap s * D = 512 plus D needs 11 bits and
+    # the guard bit
     _assert_same_walk(SearchBudget(2, 512, 1, 512), 1)
+    # s * D + D = 136 needs all 8 bits of a byte, so the guard bit takes a
+    # second: with one byte, the bias 127 - s * D would be negative
+    _assert_same_walk(SearchBudget(3, 8, 1, 8), 16)
 
 
 def test_enumeration_is_deterministic():

@@ -1,5 +1,6 @@
 """Projective matrices, code groups, rigidity, block-sum families."""
 
+import time
 from itertools import product
 
 import pytest
@@ -40,6 +41,19 @@ def test_projective_matrix_columns_distinct_nonzero():
         assert len(cols) == (1 << r) - 1
         assert len(set(cols)) == len(cols)
         assert all(any(c) for c in cols)
+
+
+def test_projective_matrix_cell_budget_is_checked_first(monkeypatch):
+    # 2^40 - 1 columns: refused at once, not sorted
+    for build in (projective_matrix, half_matrix):
+        start = time.perf_counter()
+        with pytest.raises(GroupTooLarge):
+            build(40)
+        assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 500)
+    assert projective_matrix(6).cols == 63  # 6 x 63 cells
+    with pytest.raises(GroupTooLarge):
+        projective_matrix(7)  # 7 x 127 cells
 
 
 def test_half_matrix_mirrors_projective_matrix():

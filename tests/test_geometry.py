@@ -62,6 +62,9 @@ def test_hnf_example():
     assert [row for row in H if any(row)] == [(1, 1), (0, 2)]
     assert _matmul(U, M) == [list(r) for r in H]
     assert abs(_det2([list(r) for r in U])) == 1
+    # entries are integers: a float is refused, not truncated
+    with pytest.raises(TypeError):
+        hermite_normal_form([[2.9, 0], [0, 3]])
 
 
 def test_hnf_invariant_under_row_order():
@@ -87,6 +90,9 @@ def test_snf_small_cases():
     assert [S[i][i] for i in range(3)] == [1, 2, 2]
     assert _matmul(_matmul([list(r) for r in U], bordered),
                    [list(r) for r in V]) == [list(r) for r in S]
+    # a float is refused, not truncated to diag(1, 6)
+    with pytest.raises(TypeError):
+        smith_normal_form([[2.9, 0], [0, 3]])
 
 
 def test_snf_divisibility_and_transforms():
@@ -113,6 +119,13 @@ def test_lattice_simplex_validation():
     with pytest.raises(DegenerateSimplex):
         LatticeSimplex(2, ((0, 0), (1, 1), (2, 2)))
     assert CONV_220.normalized_volume() == 4
+    # coordinates are integers: (0.5,) would be truncated to a vertex of
+    # volume 2 that counts 2.5 points
+    for bad in (((0,), (0.5,)), ((0,), (True,))):
+        with pytest.raises(TypeError):
+            LatticeSimplex(1, bad)
+    with pytest.raises(TypeError):
+        LatticeSimplex(1.0, ((0,), (1,)))
 
 
 def test_lambda_from_vertices_examples():
@@ -221,6 +234,9 @@ def test_h_star_from_counts_examples():
         h_star_from_counts([1, 6], 2)
     with pytest.raises(InconsistentCounts):
         h_star_from_counts([1, 6, 14], 2)
+    # a float count is refused, not truncated to give h* = 1
+    with pytest.raises(TypeError):
+        h_star_from_counts([1.9, 3, 6], 2)
 
 
 def test_ehrhart_table_monotone():

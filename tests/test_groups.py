@@ -1,6 +1,7 @@
 """Group closure, h* dictionary, covers, atoms, restriction and canonical forms."""
 
 import random
+import time
 
 import pytest
 
@@ -34,6 +35,7 @@ from latsimplex import (
 )
 from latsimplex import _kernels, groups
 from latsimplex.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     EmptySubset,
     GroupTooLarge,
@@ -206,6 +208,20 @@ def test_atoms_of_code_rows():
         frozenset({1}): frozenset({2}),
         frozenset({2}): frozenset({3}),
     }
+
+
+def test_atoms_key_budget_is_checked_first(monkeypatch):
+    # 2^40 - 1 keys: refused at once, not listed
+    rows = [ResidueVector(2, (1, 0))] * 40
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        atoms(rows)
+    assert time.perf_counter() - start < 1.0
+    three, four = half_matrix(3), half_matrix(4)
+    monkeypatch.setattr(groups, "MAX_TABLE_CELLS", 7)
+    assert len(atoms(three)) == 7
+    with pytest.raises(BudgetExceeded):
+        atoms(four)
 
 
 def test_atoms_disjoint_and_cover():

@@ -66,6 +66,9 @@ def test_rescale_is_explicit_and_checked():
     assert w.reduced() == v
     with pytest.raises(DenominatorMismatch):
         v.rescale(3)
+    # a float is refused, not truncated to 4
+    with pytest.raises(TypeError):
+        v.rescale(4.5)
 
 
 def test_entries_are_residues():
