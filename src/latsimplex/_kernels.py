@@ -38,6 +38,9 @@ def closure_table(gens, e, den, cap):
 def extend_closure(prev, row, e, den, cap):
     """Close ``prev`` (an already closed group table H) with one row y.
 
+    Entries of ``prev`` and ``row`` lie in [0, den), so each sum of two is
+    reduced mod den by a lookup in a table of 2 den entries.
+
     The extension is returned as its cosets in order: H as given, then
     y + H, 2y + H, ... up to (m - 1)y + H, each in the order of ``prev``,
     where m is the order of y modulo H.  So ``out[t*|H|:(t+1)*|H|]`` is the
@@ -51,11 +54,13 @@ def extend_closure(prev, row, e, den, cap):
         raise ValueError("row length does not match e")
     out = list(prev)
     cur = row
+    wrap = list(range(den)) * 2
     while cur not in base:
         if len(out) + len(prev) > cap:
             return STATUS_TOO_LARGE, None
-        out.extend(tuple((a + b) % den for a, b in zip(h, cur)) for h in prev)
-        cur = tuple((a + b) % den for a, b in zip(cur, row))
+        out.extend(tuple([wrap[a + b] for a, b in zip(h, cur)])
+                   for h in prev)
+        cur = tuple([wrap[a + b] for a, b in zip(cur, row)])
     return STATUS_OK, out
 
 

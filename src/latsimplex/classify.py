@@ -82,6 +82,29 @@ class ClassificationReport:
         }
 
 
+def _heights_exceed(elements, starts, forced_mask, D, max_h):
+    """True when every <H, y> with y nonzero on ``forced_mask`` has an
+    element of numerator sum above ``max_h``.
+
+    H is ``elements``, in (Z/D)^e and constant on the column classes whose
+    starts are the bits of ``starts``.  Over G' = <H, y> coordinate j runs
+    evenly through its image d'_j Z/D and averages (D - d'_j) / 2.  A
+    coordinate H already covers has d'_j <= D / |H_j|, with |H_j| the
+    values of column j in H; a forced one has y_j != 0, so d'_j <= D / 2.
+    Four times the average numerator sum is then at least ``a4``.  As
+    |G'| <= |H| D, some nonzero element reaches the average times
+    |H| D / (|H| D - 1), which passes ``max_h`` when
+    a4 |H| D > 4 max_h (|H| D - 1).  The code groups meet it with equality.
+    """
+    a4 = 0
+    for j in range(len(elements[0])):
+        if (starts >> j) & 1:
+            size = len({h[j] for h in elements})
+        a4 += D if (forced_mask >> j) & 1 else 2 * (D - D // size)
+    order = len(elements) * D
+    return a4 * order > 4 * max_h * (order - 1)
+
+
 def enumerate_groups(budget: SearchBudget, s: int,
                      require_non_pyramid: bool = True
                      ) -> ClassificationReport:
@@ -113,6 +136,14 @@ def enumerate_groups(budget: SearchBudget, s: int,
     already holds with as many generator slots, so skipping it changes
     nothing else.  ``dedupedStates`` counts the repeats that were closed,
     those first met at another level.
+
+    At the last level every uncovered coordinate is forced nonzero, and the
+    paper's averaging argument behind d + 1 <= 4s - 1 often shows that no
+    row fits: ``_heights_exceed`` bounds the average numerator sum over
+    <H, y> from below by what H covers and what y must cover, and such a
+    level returns no rows before its probe tables are built.  The walk
+    would have made none there, so this changes no counter; the code
+    groups meet the bound with equality.
 
     ``DEFAULT_NODE_BUDGET`` bounds the number of candidate rows outside H,
     skipped ones included; each is charged once, as its level's row list
@@ -183,6 +214,9 @@ def enumerate_groups(budget: SearchBudget, s: int,
             raise BudgetExceeded(
                 f"a level's probe tables need {need} fields, more than the "
                 f"budget of {cells} table cells")
+        if forced_mask and _heights_exceed(elements, starts, forced_mask,
+                                           D, max_h):
+            return []
         top = int.from_bytes(top_field * probes, "little")
         coords = []
         for j in range(e):

@@ -88,20 +88,23 @@ def _analysis_json(G: groups.LambdaGroup) -> dict:
     }
 
 
-def _emit_group(G: groups.LambdaGroup, matrix: bool) -> int:
+def _emit_rows(rows, matrix: bool) -> int:
+    """Print generator rows as the group JSON of their closure, or as text;
+    the closure itself is never built."""
     if matrix:
-        _emit_text(_matrix_text(G.generators))
+        _emit_text(_matrix_text(rows))
     else:
-        _emit(G.to_json())
+        _emit({"e": rows[0].e, "den": rows[0].den,
+               "generators": [list(g.nums) for g in rows]})
     return 0
 
 
 def cmd_code(args) -> int:
-    return _emit_group(codes.simplex_code_group(args.r), args.matrix)
+    return _emit_rows(codes.simplex_code_rows(args.r), args.matrix)
 
 
 def cmd_counterexample(args) -> int:
-    return _emit_group(codes.counterexample_simplex(args.s), args.matrix)
+    return _emit_rows(codes.counterexample_rows(args.s), args.matrix)
 
 
 def cmd_analyze(args) -> int:

@@ -77,11 +77,10 @@ def support_matrix(rows) -> BinaryMatrix:
         tuple(1 if a else 0 for a in v.nums) for v in rows))
 
 
-def simplex_code_group(r: int) -> LambdaGroup:
-    """Group generated by the half-entry rows; order 2^r, all weights equal.
+def simplex_code_rows(r: int) -> tuple[ResidueVector, ...]:
+    """The generator rows of ``simplex_code_group(r)``, without closing them.
 
-    Raises GroupTooLarge before building anything when the 2^r x (2^r - 1)
-    element table would exceed ``groups.MAX_TABLE_CELLS``.
+    Raises as ``simplex_code_group`` does, before building anything.
     """
     if r < 2:
         raise ValueError("r must be at least 2")
@@ -91,7 +90,16 @@ def simplex_code_group(r: int) -> LambdaGroup:
     if r >= budget.bit_length() or (1 << r) * ((1 << r) - 1) > budget:
         raise GroupTooLarge(f"the code group for r = {r} exceeds the budget "
                             f"of {budget} table cells")
-    return close(half_matrix(r))
+    return half_matrix(r)
+
+
+def simplex_code_group(r: int) -> LambdaGroup:
+    """Group generated by the half-entry rows; order 2^r, all weights equal.
+
+    Raises GroupTooLarge before building anything when the 2^r x (2^r - 1)
+    element table would exceed ``groups.MAX_TABLE_CELLS``.
+    """
+    return close(simplex_code_rows(r))
 
 
 def support_rigidity_check(rows, r: int) -> bool:
@@ -118,14 +126,9 @@ def support_rigidity_check(rows, r: int) -> bool:
     return all(v.reduced() == w.reduced() for v, w in zip(rows, expected))
 
 
-def counterexample_simplex(s: int) -> LambdaGroup:
-    """Block-diagonal family with degree s on 4s - popcount(2s) coordinates.
-
-    Writes 2s = 2^{u_1} + ... + 2^{u_p} with u_1 > ... > u_p >= 1 and stacks
-    the half matrices of dimensions u_i + 1 on disjoint coordinate blocks.
-    Raises GroupTooLarge before building anything when the block sum would
-    pass the order cap or the cell budget; its partial sums are smaller.
-    """
+def _counterexample_exponents(s: int) -> list[int]:
+    """The exponents u_1 > ... > u_p of 2s, after the budget checks of
+    ``counterexample_simplex``."""
     if s < 2:
         raise ValueError("s must be at least 2")
     exponents = [u for u in range((2 * s).bit_length()) if (2 * s) >> u & 1]
@@ -138,6 +141,33 @@ def counterexample_simplex(s: int) -> LambdaGroup:
         raise GroupTooLarge(
             f"the counterexample for s = {s} on {e} coordinates exceeds the "
             f"order cap or the budget of {groups.MAX_TABLE_CELLS} table cells")
+    return exponents
+
+
+def counterexample_rows(s: int) -> tuple[ResidueVector, ...]:
+    """The generator rows of ``counterexample_simplex(s)``, without closing
+    them: the block sum of the half matrices, after the same checks."""
+    blocks = [half_matrix(u + 1) for u in _counterexample_exponents(s)]
+    e = sum(rows[0].e for rows in blocks)
+    out = []
+    before = 0
+    for rows in blocks:
+        after = e - before - rows[0].e
+        out += [ResidueVector(2, (0,) * before + row.nums + (0,) * after)
+                for row in rows]
+        before += rows[0].e
+    return tuple(out)
+
+
+def counterexample_simplex(s: int) -> LambdaGroup:
+    """Block-diagonal family with degree s on 4s - popcount(2s) coordinates.
+
+    Writes 2s = 2^{u_1} + ... + 2^{u_p} with u_1 > ... > u_p >= 1 and stacks
+    the half matrices of dimensions u_i + 1 on disjoint coordinate blocks.
+    Raises GroupTooLarge before building anything when the block sum would
+    pass the order cap or the cell budget; its partial sums are smaller.
+    """
+    exponents = _counterexample_exponents(s)
     G = simplex_code_group(exponents[0] + 1)
     for u in exponents[1:]:
         G = direct_sum(G, simplex_code_group(u + 1))

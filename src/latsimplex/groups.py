@@ -190,10 +190,11 @@ def _build(e, den, gen_nums, elements) -> LambdaGroup:
 def close(generators, max_order: int | None = None) -> LambdaGroup:
     """Smallest addition-closed subgroup containing ``generators`` and zero.
 
-    Generators with different denominators are rescaled to their lcm here,
-    once and explicitly.  Raises GroupTooLarge past ``max_order`` elements
-    (``DEFAULT_MAX_ORDER`` when None) or past ``MAX_TABLE_CELLS`` table
-    cells.
+    Generators are reduced and rescaled to the lcm of their denominators,
+    the group's exponent, here, once and explicitly.  Raises GroupTooLarge
+    past ``max_order`` elements (``DEFAULT_MAX_ORDER`` when None) or past
+    ``MAX_TABLE_CELLS`` table cells, at once when the exponent alone passes
+    the cap, so the kernels never see a denominator above it.
     """
     if max_order is None:
         max_order = DEFAULT_MAX_ORDER
@@ -207,12 +208,16 @@ def close(generators, max_order: int | None = None) -> LambdaGroup:
     if e > MAX_TABLE_CELLS:
         raise GroupTooLarge(f"e = {e} exceeds the budget of "
                             f"{MAX_TABLE_CELLS} table cells")
+    gens = [g.reduced() for g in gens]
     den = 1
     for g in gens:
         den = lcm(den, g.den)
     gen_nums = [g.rescale(den).nums for g in gens]
     cap = min(max_order, MAX_TABLE_CELLS // e)
-    status, elements = _kernels.closure_table(gen_nums, e, den, cap)
+    status = _kernels.STATUS_TOO_LARGE
+    # the exponent is the order of some element, so at most the group's
+    if den <= cap:
+        status, elements = _kernels.closure_table(gen_nums, e, den, cap)
     if status == _kernels.STATUS_TOO_LARGE:
         raise GroupTooLarge(f"closure exceeds {cap} elements (order cap "
                             f"{max_order}, {MAX_TABLE_CELLS} table cells)")

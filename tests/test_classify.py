@@ -16,6 +16,7 @@ from latsimplex import (
     enumerate_groups,
     f,
     greedy_support_cover,
+    half_matrix,
     simplex_code_group,
     support_cover_multiplicities,
     trivial_group,
@@ -400,3 +401,63 @@ def test_same_extension_rows_brute_force():
                 == sorted(ext)}
         assert skipped == same, (e, den, gens, y)
         checked += 1
+
+
+def _class_starts(H):
+    """Bit j set when column j of the table H differs from column j - 1."""
+    return sum(1 << j for j in range(len(H[0]))
+               if j == 0 or any(h[j] != h[j - 1] for h in H))
+
+
+def test_last_level_bound_brute_force():
+    """The averaging bound never rules out a last level that has a row:
+    for H and its uncovered coordinates F, the least s at which some y
+    nonzero on F keeps every numerator sum of <H, y> within s D must pass
+    ``_heights_exceed``."""
+    from itertools import product
+
+    from latsimplex._kernels import closure_table, extend_closure
+
+    rng = random.Random(113)
+    checked = fired = 0
+    while checked < 80:
+        e, den = rng.randint(1, 5), rng.randint(2, 6)
+        if den ** e > 1296:
+            continue
+        gens = [tuple(rng.randrange(den) for _ in range(e))
+                for _ in range(rng.randint(1, 2))]
+        _, H = closure_table(gens, e, den, den ** e)
+        forced = sum(1 << j for j in range(e) if all(h[j] == 0 for h in H))
+        if not forced:
+            continue
+        least = min(
+            max(map(sum, extend_closure(H, y, e, den, den ** e)[1]))
+            for y in product(range(den), repeat=e)
+            if all(y[j] for j in range(e) if forced >> j & 1))
+        s = -(-least // den)
+        for starts in (_class_starts(H), (1 << e) - 1):
+            assert not classify._heights_exceed(H, starts, forced, den,
+                                                 s * den), (gens, den)
+            fired += s > 0 and classify._heights_exceed(
+                H, starts, forced, den, (s - 1) * den)
+        checked += 1
+    # the bound is not vacuous on these cases
+    assert fired > 0
+
+
+def test_last_level_bound_is_tight_on_b3():
+    """B_3's last level meets the bound with equality: H, the closure of
+    two rows of the half matrix, covers six coordinates with two values
+    each and the seventh is forced, so 14 * 8 = 4 * 2 * 2 * 7."""
+    from latsimplex._kernels import closure_table
+
+    _, H = closure_table([g.nums for g in half_matrix(3)[:2]], 7, 2, 8)
+    forced = sum(1 << j for j in range(7) if all(h[j] == 0 for h in H))
+    assert forced.bit_count() == 1
+    starts = _class_starts(H)
+    assert not classify._heights_exceed(H, starts, forced, 2, 2 * 2)
+    assert classify._heights_exceed(H, starts, forced, 2, 2 * 2 - 1)
+    # one row of halves on three forced coordinates has height 3/2, and
+    # only the factor |G'| / (|G'| - 1) = 2 lifts the average 3/4 past 1:
+    # 6 * 2 > 4 * 2 * 1
+    assert classify._heights_exceed([(0, 0, 0)], 1, 0b111, 2, 2)

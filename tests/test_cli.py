@@ -94,6 +94,19 @@ def test_counterexample_matrix_text(capsys):
     assert lines[3] == "0 0 0 0 0 0 0 1/2 1/2 0"
 
 
+def test_largest_code_rows_print_without_their_closure(capsys):
+    # B_12's table holds 4096 x 4095 cells; the rows alone print at once
+    for argv in (["counterexample", "--s", "1024"], ["code", "--r", "12"]):
+        start = time.perf_counter()
+        code, obj = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 0
+        assert (obj["e"], obj["den"], len(obj["generators"])) == (4095, 2, 12)
+    for s in (2, 3, 7, 12):
+        _, obj = run_json(capsys, "counterexample", "--s", str(s))
+        assert obj == latsimplex.counterexample_simplex(s).to_json()
+
+
 def test_counterexample_conjecture_pipeline(capsys, tmp_path):
     _, group_json = run_cli(capsys, "counterexample", "--s", "3")
     path = tmp_path / "cx3.json"
@@ -262,6 +275,11 @@ DOMAIN_ERROR_CASES = [
      ["counterexample", "--s", "1023"]),
     ("counterexample s 2047", "group-too-large", None,
      ["counterexample", "--s", "2047"]),
+    # its exponent 10^9 passes the order cap; unchecked, the closure builds
+    # 2^20 elements before it is refused
+    ("analyze exponent past the order cap", "group-too-large",
+     json.dumps({"e": 2, "den": 10 ** 9, "generators": [[1, 10 ** 9 - 1]]}),
+     ["analyze", "{path}"]),
     ("realize past the coordinate budget", "budget-exceeded",
      json.dumps({"e": 80, "den": 1, "generators": []}),
      ["realize", "{path}"]),

@@ -143,3 +143,25 @@ def test_counterexample_family_invariants():
         assert G.full_support and not is_lattice_pyramid(G)
         assert G.den <= 2
         assert degree(G) == s
+
+
+def test_generator_rows_close_to_their_groups():
+    for r in range(2, 7):
+        assert close(codes.simplex_code_rows(r)) == simplex_code_group(r)
+    for s in range(2, 17):
+        rows = codes.counterexample_rows(s)
+        G = counterexample_simplex(s)
+        assert close(rows) == G
+        assert tuple(rows) == G.generators
+    # the rows are refused where their groups are, before anything is built
+    for build in (codes.simplex_code_rows, simplex_code_group):
+        with pytest.raises(ValueError):
+            build(1)
+        with pytest.raises(GroupTooLarge):
+            build(13)
+    for build in (codes.counterexample_rows, counterexample_simplex):
+        with pytest.raises(ValueError):
+            build(1)
+        for s in (600, 1023, 2047, 10 ** 9):
+            with pytest.raises(GroupTooLarge):
+                build(s)

@@ -100,6 +100,28 @@ def test_extend_matches_full_closure():
         assert full == sorted(ext)
 
 
+def test_extend_closure_cosets_in_order():
+    """Slice t of the extension is t*y + H, in the order of H, with sums of
+    entries up to 2 den - 2 reduced mod den."""
+    rng = random.Random(83)
+    for den, cases in ((2, 40), (3, 40), (7, 40), (64, 20), (600, 4)):
+        for _ in range(cases):
+            e = rng.randint(1, 4)
+            pick = lambda: tuple(rng.choice((0, den - 1, rng.randrange(den)))
+                                 for _ in range(e))
+            _, H = _kernels.closure_table([pick()], e, den, den)
+            y = pick()
+            status, out = _kernels.extend_closure(H, y, e, den, den * den)
+            assert status == _kernels.STATUS_OK
+            n = len(H)
+            for t in range(len(out) // n):
+                assert out[t * n:(t + 1) * n] == [
+                    tuple((t * b + a) % den for a, b in zip(h, y))
+                    for h in H], (den, H, y, t)
+            m = len(out) // n
+            assert tuple(m * b % den for b in y) in H
+
+
 def test_closure_table_large_denominator():
     status, els = _kernels.closure_table([(300, 0)], 2, 600, 64)
     assert status == _kernels.STATUS_OK
