@@ -1,10 +1,13 @@
 """The hot inner loops, in plain Python.
 
 Closure of a generating set under coordinatewise addition mod 1, built one
-generator at a time as a union of cosets, and lattice-point counting over an
-integer box.  A closure refused by its cap never stores more than ``cap``
-elements.  Tests compare the closure against a breadth-first search and the
-counter against a straight box scan, both kept in ``tests/_support.py``.
+generator at a time as a union of cosets.  A closure refused by its cap
+never stores more than ``cap`` elements.  ``count_box_points``, a pruned
+lattice-point walk over an integer box, is not called by the package, which
+counts from h*: the tests count with it as an independent oracle, and
+the benchmark's tracer wraps it by name.  Tests compare the closure against
+a breadth-first search and the walk against a straight box scan, both kept
+in ``tests/_support.py``.
 """
 
 from __future__ import annotations

@@ -140,10 +140,11 @@ def cmd_ehrhart(args) -> int:
     try:
         d = as_int(obj["d"])
         # refuse before the degeneracy check, whose cost grows as d^3
-        if d > geometry.MAX_BOX_POINTS.bit_length():
+        if d + 1 > geometry.MAX_REALIZE_COORDINATES:
             raise BudgetExceeded(
-                f"a {d}-simplex walks at least 2^{d - 1} box points, more "
-                f"than the budget of {geometry.MAX_BOX_POINTS}")
+                f"the residue group of a {d}-simplex has {d + 1} "
+                f"coordinates, more than the budget of "
+                f"{geometry.MAX_REALIZE_COORDINATES}")
         simplex = geometry.LatticeSimplex.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(

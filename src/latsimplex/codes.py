@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import groups
 from .errors import DimensionMismatch, GroupTooLarge, HypothesesNotMet
-from .groups import LambdaGroup, close, direct_sum
+from .groups import LambdaGroup, close
 from .residues import ResidueVector
 
 
@@ -163,12 +163,9 @@ def counterexample_simplex(s: int) -> LambdaGroup:
     """Block-diagonal family with degree s on 4s - popcount(2s) coordinates.
 
     Writes 2s = 2^{u_1} + ... + 2^{u_p} with u_1 > ... > u_p >= 1 and stacks
-    the half matrices of dimensions u_i + 1 on disjoint coordinate blocks.
-    Raises GroupTooLarge before building anything when the block sum would
-    pass the order cap or the cell budget; its partial sums are smaller.
+    the half matrices of dimensions u_i + 1 on disjoint coordinate blocks:
+    the closure of ``counterexample_rows(s)``.  Raises GroupTooLarge before
+    building anything when the block sum would pass the order cap or the
+    cell budget.
     """
-    exponents = _counterexample_exponents(s)
-    G = simplex_code_group(exponents[0] + 1)
-    for u in exponents[1:]:
-        G = direct_sum(G, simplex_code_group(u + 1))
-    return G
+    return close(counterexample_rows(s))

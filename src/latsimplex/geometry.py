@@ -3,13 +3,14 @@
 ``realize_vertices`` turns an integer-sum group into a concrete lattice
 simplex by expressing the unit vectors in a basis of the overlattice the
 group defines, flattening the common affine hyperplane onto Z^d, and skew
-reducing the coordinates so box point counting stays within budget.
-``lambda_from_vertices`` inverts the construction: the residue group is
-generated by the rows of the inverse of the bordered vertex matrix, taken
-mod 1.  A simplex keeps that matrix's determinant and adjugate from its
-one elimination, and its volume, residue group and point counts all read
-them.  Point counting has one budget, the box points its counts walk
-(``MAX_BOX_POINTS``), which also bounds the dimension that can be counted.
+reducing the coordinates.  ``lambda_from_vertices`` inverts the
+construction: the residue group is generated by the rows of the inverse of
+the bordered vertex matrix, taken mod 1.  A simplex keeps that matrix's
+determinant and adjugate from its one elimination, and its volume and
+residue group read them.  Its point counts read h* of that group, since a
+lattice d-simplex has Ehrhart series h*(t) / (1 - t)^(d+1) (Batyrev and
+Hofscheier, arXiv:1309.5312; Beck and Robins, *Computing the Continuous
+Discretely*, chs. 3-4), so counting is bounded as every group question is.
 All arithmetic is exact.  Matrices here are tiny, so the normal forms, the
 determinant and the adjugate use integer eliminations with no modular
 tricks; only the lattice reduction's Gram-Schmidt uses fractions.
@@ -19,24 +20,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 
-from . import _kernels
+from . import groups
 from .errors import (
     BudgetExceeded,
     DegenerateSimplex,
+    GroupTooLarge,
     InconsistentCounts,
     NonIntegralHeights,
     RankDeficient,
 )
-from .groups import HStarPolynomial, LambdaGroup, close
+from .groups import HStarPolynomial, LambdaGroup, close, h_star
 from .residues import ResidueVector, as_int, int_rows
 
-# the most points of the box a count may walk: every side but the last,
-# which is counted as an interval.  A d-simplex spans at least 1 in every
-# coordinate, so it walks at least 2^(d-1) points at n >= 1, and no
-# d > MAX_BOX_POINTS.bit_length() can be counted.
-MAX_BOX_POINTS = 1 << 18
+# the most binomial terms an Ehrhart table may sum: d + 1 per dilation
+MAX_COUNT_TERMS = 1 << 18
 # the most coordinates a realization may have; its lattice reduction grows
 # steeply with e
 MAX_REALIZE_COORDINATES = 32
@@ -360,65 +359,65 @@ def lambda_from_vertices(simplex: LatticeSimplex) -> LambdaGroup:
     """Residue group of a simplex: Z^(d+1) B^-1 / Z^(d+1).
 
     x lies in it exactly when x @ B is integral, for B the bordered vertex
-    matrix, so it is generated by the rows of B^-1 = adj / det mod 1.
+    matrix, so it is generated by the rows of B^-1 = adj / det mod 1.  Its
+    order is |det|, so a group past the order cap or the cell budget is
+    refused with GroupTooLarge before anything is closed.
     """
     det = simplex._det
     den = abs(det)
+    if (den > groups.DEFAULT_MAX_ORDER
+            or den * (simplex.d + 1) > groups.MAX_TABLE_CELLS):
+        raise GroupTooLarge(
+            f"the residue group of a simplex of volume {den} exceeds the "
+            f"order cap {groups.DEFAULT_MAX_ORDER} or the budget of "
+            f"{groups.MAX_TABLE_CELLS} table cells")
     sign = 1 if det > 0 else -1
     return close([ResidueVector(den, tuple(sign * x % den for x in row))
                   for row in simplex._adj])
 
 
-def _check_walk(simplex: LatticeSimplex, dilations: range) -> None:
-    """Refuse counts at ``dilations`` that together walk more than
-    ``MAX_BOX_POINTS`` box points.
-
-    Counting n * simplex walks the product of n * span + 1 over every side
-    of its bounding box but the last, which is counted as an interval.
-    Each dilation walks at least one point, so a range longer than the
-    budget is refused without summing.
-    """
-    walked = len(dilations)
-    if walked <= MAX_BOX_POINTS:
-        spans = [max(c) - min(c) for c in zip(*simplex.vertices)][:-1]
-        walked = sum(prod(n * s + 1 for s in spans) for n in dilations)
-    if walked > MAX_BOX_POINTS:
-        raise BudgetExceeded(
-            f"counting up to n = {dilations[-1]} walks more than the budget "
-            f"of {MAX_BOX_POINTS} box points")
+def _count(coeffs, d: int, n: int, strict: bool) -> int:
+    """L(n * simplex) from the coefficients of h*, or the interior count
+    L(n * simplex°) = sum of h*_k C(n - (d + 1 - k) + d, d) when ``strict``
+    (Ehrhart-Macdonald reciprocity), which is 0 at n = 0."""
+    if strict:
+        if n == 0:
+            return 0
+        return sum(h * comb(n - (d + 1 - k) + d, d)
+                   for k, h in enumerate(coeffs))
+    return sum(h * comb(n - k + d, d) for k, h in enumerate(coeffs))
 
 
 def count_lattice_points(simplex: LatticeSimplex, n: int,
                          strict: bool = False) -> int:
     """Exact number of integer points in n * simplex (boundary included).
 
-    ``strict`` counts interior points instead.  Walks the bounding box of
-    the dilation coordinate by coordinate, keeping only the values for which
-    every integral barycentric coordinate can still end up nonnegative
-    (positive when ``strict``), and counts the last coordinate as an integer
-    interval; see ``_kernels.count_box_points``.  A walked box of more than
-    ``MAX_BOX_POINTS`` points is refused before counting.
+    ``strict`` counts interior points instead.  Sums the d + 1 terms of the
+    closed form over h* of the simplex's residue group, so the group's
+    order bounds the cost, as in ``lambda_from_vertices``.
     """
+    n = as_int(n)
     if n < 0:
         raise ValueError("dilation must be nonnegative")
-    _check_walk(simplex, range(n, n + 1))
-    if n == 0:
-        return 0 if strict else 1
-    if simplex.d == 0:
-        return 1
-    lows = [n * min(v[j] for v in simplex.vertices) for j in range(simplex.d)]
-    highs = [n * max(v[j] for v in simplex.vertices) for j in range(simplex.d)]
-    det_sign = 1 if simplex._det > 0 else -1
-    return _kernels.count_box_points(simplex._adj, det_sign, lows, highs, n,
-                                     strict)
+    coeffs = h_star(lambda_from_vertices(simplex)).coeffs
+    return _count(coeffs, simplex.d, n, strict)
 
 
 def ehrhart_table(simplex: LatticeSimplex, max_n: int) -> EhrhartTable:
-    """Counts at n = 0..max_n; a table past the budget is refused at once."""
-    dilations = range(max_n + 1)
-    _check_walk(simplex, dilations)
-    return EhrhartTable(tuple(count_lattice_points(simplex, n)
-                              for n in dilations))
+    """Counts at n = 0..max_n, from h* of the simplex's residue group.
+
+    A table of more than ``MAX_COUNT_TERMS`` terms, (max_n + 1)(d + 1), is
+    refused before the group is closed.
+    """
+    max_n = as_int(max_n)
+    terms = (max_n + 1) * (simplex.d + 1)
+    if terms > MAX_COUNT_TERMS:
+        raise BudgetExceeded(
+            f"counting up to n = {max_n} sums {terms} terms, more than the "
+            f"budget of {MAX_COUNT_TERMS}")
+    coeffs = h_star(lambda_from_vertices(simplex)).coeffs
+    return EhrhartTable(tuple(_count(coeffs, simplex.d, n, False)
+                              for n in range(max_n + 1)))
 
 
 def h_star_from_counts(counts, d: int) -> HStarPolynomial:
@@ -453,15 +452,7 @@ def h_star_from_counts(counts, d: int) -> HStarPolynomial:
 def min_interior_dilation(simplex: LatticeSimplex) -> int:
     """Least m with an interior lattice point in m * simplex.
 
-    The vertex sum is an interior point of (d + 1) * simplex, so m <= d + 1.
-    Counts at m = 1..d+1 that together walk more than ``MAX_BOX_POINTS``
-    box points are refused before the first.
+    By reciprocity this is the codegree d + 1 - deg h*, read from the
+    simplex's residue group.
     """
-    dilations = range(1, simplex.d + 2)
-    _check_walk(simplex, dilations)
-    for m in dilations:
-        if count_lattice_points(simplex, m, strict=True) > 0:
-            return m
-    raise InconsistentCounts(
-        f"no interior point up to dilation {simplex.d + 1}; "
-        "simplex data is broken")
+    return simplex.d + 1 - h_star(lambda_from_vertices(simplex)).degree()

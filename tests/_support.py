@@ -8,7 +8,7 @@ from math import lcm
 
 from latsimplex import ResidueVector, close, is_lattice_pyramid
 from latsimplex import groups as groups_module
-from latsimplex._kernels import STATUS_OK, STATUS_TOO_LARGE
+from latsimplex._kernels import STATUS_OK, STATUS_TOO_LARGE, count_box_points
 from latsimplex.classify import (
     DEFAULT_NODE_BUDGET,
     ClassificationReport,
@@ -289,6 +289,20 @@ def bfs_closure(gens, e, den, cap):
                 nxt.append(s)
         frontier = nxt
     return STATUS_OK, sorted(seen)
+
+
+def walk_count(simplex: LatticeSimplex, n: int, strict: bool = False) -> int:
+    """Points of n * simplex (interior points when ``strict``) by the pruned
+    box walk ``_kernels.count_box_points``, over the dilation's bounding
+    box: an oracle for the closed forms of ``geometry``, which read h*."""
+    if n == 0:
+        return 0 if strict else 1
+    if simplex.d == 0:
+        return 1
+    lows = [n * min(v[j] for v in simplex.vertices) for j in range(simplex.d)]
+    highs = [n * max(v[j] for v in simplex.vertices) for j in range(simplex.d)]
+    det_sign = 1 if simplex._det > 0 else -1
+    return count_box_points(simplex._adj, det_sign, lows, highs, n, strict)
 
 
 def box_scan_counts(adj, det_sign, lows, highs, n):

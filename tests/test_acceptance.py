@@ -14,12 +14,12 @@ from _support import (
     random_integer_sum_group,
     random_non_pyramid_group,
     smith_lambda_from_vertices,
+    walk_count,
 )
 from latsimplex import (
     canonical_form,
     cayley_upper_bound_distinct_halves,
     code_partition,
-    count_lattice_points,
     counterexample_simplex,
     degree,
     f,
@@ -164,7 +164,7 @@ def test_a5_bijection_round_trip():
 def test_a6_ehrhart_oracle_equivalence():
     with criterion("A6", "brute-force counts reproduce h* (d <= 6)"):
         conv220 = LatticeSimplex(2, ((0, 0), (2, 0), (0, 2)))
-        counts = [count_lattice_points(conv220, n) for n in (0, 1, 2)]
+        counts = [walk_count(conv220, n) for n in (0, 1, 2)]
         assert counts == [1, 6, 15]
         assert h_star_from_counts(counts, 2).as_list() == [1, 3]
         targets = [simplex_code_group(2), simplex_code_group(3),
@@ -177,8 +177,7 @@ def test_a6_ehrhart_oracle_equivalence():
             if G.e - 1 > 6:
                 continue
             simplex = realize_vertices(G)
-            counts = [count_lattice_points(simplex, n)
-                      for n in range(simplex.d + 1)]
+            counts = [walk_count(simplex, n) for n in range(simplex.d + 1)]
             assert h_star_from_counts(counts, simplex.d) == h_star(G)
 
 

@@ -139,32 +139,54 @@ def test_realize_and_ehrhart_pipeline(capsys, tmp_path):
     assert code == 0
     assert obj["counts"][0] == 1
     assert obj["hstar"] == [1, 3]
-    # the walked box is the only counting budget, so n past 20 is admitted
     code, obj = run_json(capsys, "ehrhart", str(spath), "--max-n", "21")
     assert code == 0
     assert len(obj["counts"]) == 22
     assert obj["hstar"] == [1, 3]
+    # a small det (625) with long edges
+    spath.write_text(json.dumps({"d": 3, "vertices": [
+        [0, 0, 0], [25, 0, 0], [0, 25, 0], [0, 0, 1]]}))
+    code, obj = run_json(capsys, "ehrhart", str(spath), "--max-n", "21")
+    assert code == 0
+    assert obj["counts"][:3] == [1, 352, 1678]
+    assert obj["hstar"] == [1, 348, 276]
+
+
+def test_b4_realization_pipeline(capsys, monkeypatch):
+    _, group_json = run_cli(capsys, "code", "--r", "4")
+    monkeypatch.setattr("sys.stdin", io.StringIO(group_json))
+    _, simplex_json = run_cli(capsys, "realize", "-")
+    # d = 14, so h* needs --max-n 14; --max-n 3 reports only the counts
+    for max_n, counts, hstar in (("3", [1, 15, 120, 680], None),
+                                 ("14", None, [1, 0, 0, 0, 15])):
+        monkeypatch.setattr("sys.stdin", io.StringIO(simplex_json))
+        code, obj = run_json(capsys, "ehrhart", "-", "--max-n", max_n)
+        assert code == 0
+        assert obj["d"] == 14
+        assert obj["hstar"] == hstar
+        if counts:
+            assert obj["counts"] == counts
 
 
 def test_ehrhart_refuses_dimension_before_elimination(capsys, tmp_path,
                                                       monkeypatch):
-    # a d-simplex walks at least 2^(d-1) box points at n >= 1; at d = 18
-    # n = 0..1 walk 1 + 2^17
+    # the residue group of a d-simplex lies on d + 1 coordinates, budgeted
+    # as a realization's
     def unit_simplex(d):
         return json.dumps({"d": d, "vertices": [[0] * d] + [
             [int(i == j) for j in range(d)] for i in range(d)]})
 
     path = tmp_path / "unit.json"
-    path.write_text(unit_simplex(18))
+    path.write_text(unit_simplex(31))
     code, obj = run_json(capsys, "ehrhart", str(path), "--max-n", "1")
     assert code == 0
-    assert obj["counts"] == [1, 19]
+    assert obj["counts"] == [1, 32]
 
     def no_elimination(mat):
-        raise AssertionError("elimination started past the box budget")
+        raise AssertionError("elimination started past the dimension budget")
 
     monkeypatch.setattr(latsimplex.geometry, "_det_adjugate", no_elimination)
-    path.write_text(unit_simplex(20))
+    path.write_text(unit_simplex(32))
     code, obj = run_json(capsys, "ehrhart", str(path), "--max-n", "1")
     assert code == 1
     assert obj["error"] == "budget-exceeded"
@@ -256,13 +278,15 @@ DOMAIN_ERROR_CASES = [
     ("float vertex coordinate", "invalid-input",
      json.dumps({"d": 2, "vertices": [[0, 0], [1.7, 0], [0, 1]]}),
      ["ehrhart", "{path}", "--max-n", "2"]),
-    # every dilation walks at least one box point
+    # each dilation sums d + 1 terms
     ("dilation past the count budget", "budget-exceeded",
      json.dumps({"d": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}),
      ["ehrhart", "{path}", "--max-n", "262144"]),
-    ("box past the count budget", "budget-exceeded",
-     json.dumps({"d": 2, "vertices": [[0, 0], [10 ** 6, 0], [0, 1]]}),
-     ["ehrhart", "{path}", "--max-n", "2"]),
+    # det 2 * 10^6; unchecked, the closure builds 2^20 elements before it
+    # is refused
+    ("det past the order cap", "group-too-large",
+     json.dumps({"d": 2, "vertices": [[0, 0], [2000, 0], [0, 1000]]}),
+     ["ehrhart", "{path}", "--max-n", "1"]),
     ("counterexample s 10^8", "group-too-large", None,
      ["counterexample", "--s", "100000000"]),
     ("counterexample s 10^9", "group-too-large", None,
@@ -294,11 +318,6 @@ DOMAIN_ERROR_CASES = [
     ("classify e 10^8", "budget-exceeded", None,
      ["classify", "--e", "100000000", "--degree", "1", "--max-den", "2",
       "--max-gen", "1", "--max-order", "2"]),
-    # counting n = 0..20 alone would take seconds
-    ("wide dilation past the count budget", "budget-exceeded",
-     json.dumps({"d": 3, "vertices": [[0, 0, 0], [25, 0, 0], [0, 25, 0],
-                                      [0, 0, 1]]}),
-     ["ehrhart", "{path}", "--max-n", "21"]),
     # its probe tables alone would take hours
     ("classify den 10^5", "budget-exceeded", None,
      ["classify", "--e", "2", "--degree", "1", "--max-den", "100000",
@@ -310,6 +329,8 @@ DOMAIN_ERROR_CASES = [
       "--max-gen", "22", "--max-order", "4194304"]),
     # its degeneracy check alone would take seconds
     ("dense d 300", "budget-exceeded", _dense_simplex(300, 300),
+     ["ehrhart", "{path}", "--max-n", "2"]),
+    ("dense d 32", "budget-exceeded", _dense_simplex(32, 32),
      ["ehrhart", "{path}", "--max-n", "2"]),
 ]
 

@@ -11,6 +11,7 @@ from latsimplex import (
     close,
     counterexample_simplex,
     degree,
+    direct_sum,
     h_star,
     half_matrix,
     is_lattice_pyramid,
@@ -149,10 +150,17 @@ def test_generator_rows_close_to_their_groups():
     for r in range(2, 7):
         assert close(codes.simplex_code_rows(r)) == simplex_code_group(r)
     for s in range(2, 17):
-        rows = codes.counterexample_rows(s)
+        # the direct sum of the code groups, block by block, is the oracle
+        blocks = [simplex_code_group(u + 1)
+                  for u in reversed(range((2 * s).bit_length()))
+                  if (2 * s) >> u & 1]
+        expected = blocks[0]
+        for block in blocks[1:]:
+            expected = direct_sum(expected, block)
         G = counterexample_simplex(s)
-        assert close(rows) == G
-        assert tuple(rows) == G.generators
+        assert (G.den, G.elements, G.generators) == \
+            (expected.den, expected.elements, expected.generators)
+        assert codes.counterexample_rows(s) == G.generators
     # the rows are refused where their groups are, before anything is built
     for build in (codes.simplex_code_rows, simplex_code_group):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from _support import (
     oracle_det_adjugate,
     random_integer_sum_group,
     smith_lambda_from_vertices,
+    walk_count,
 )
 from latsimplex import (
     LatticeSimplex,
@@ -28,11 +29,12 @@ from latsimplex import (
     smith_normal_form,
     trivial_group,
 )
-from latsimplex import geometry
+from latsimplex import _kernels, geometry, groups
 from latsimplex._kernels import count_box_points
 from latsimplex.errors import (
     BudgetExceeded,
     DegenerateSimplex,
+    GroupTooLarge,
     InconsistentCounts,
     NonIntegralHeights,
 )
@@ -196,35 +198,69 @@ def test_count_examples():
     assert [count_lattice_points(CONV_220, n) for n in (0, 1, 2)] == [1, 6, 15]
     assert count_lattice_points(CONV_220, 1, strict=True) == 0
     assert count_lattice_points(CONV_220, 2, strict=True) == 3
+    # dilations are integers: True is refused, not read as n = 1
+    with pytest.raises(TypeError):
+        count_lattice_points(CONV_220, True)
+    with pytest.raises(TypeError):
+        ehrhart_table(CONV_220, True)
 
 
-def test_count_budget():
-    # the walked box is the only budget: B_4's realization (d = 14) walks
-    # 209,952 points at n = 1, and CONV_220 walks 2n + 1
-    assert count_lattice_points(realize_vertices(simplex_code_group(4)),
-                                1) == 15
-    assert count_lattice_points(CONV_220, 25) == 1326
-    with pytest.raises(BudgetExceeded):
-        count_lattice_points(CONV_220, geometry.MAX_BOX_POINTS // 2)
+def _no_closure(*args, **kwargs):
+    raise AssertionError("the group was closed past its budget")
+
+
+def test_count_budget(monkeypatch):
+    # a count sums d + 1 terms over h* of the simplex's group, so any n is
+    # admitted: B_4's realization (d = 14) has h* = 1 + 15t^4
+    S4 = realize_vertices(simplex_code_group(4))
+    assert count_lattice_points(S4, 1) == 15
+    assert ehrhart_table(S4, 3).counts == (1, 15, 120, 680)
+    assert min_interior_dilation(S4) == 11
+    assert count_lattice_points(CONV_220, 10 ** 6) == \
+        (10 ** 6 + 1) * (2 * 10 ** 6 + 1)
+    # |det| is the group's order: it is checked against the order cap, and
+    # |det| (d + 1) against the cell budget, before anything is closed
+    with monkeypatch.context() as mp:
+        mp.setattr(groups, "DEFAULT_MAX_ORDER", 4)
+        mp.setattr(groups, "MAX_TABLE_CELLS", 12)
+        assert count_lattice_points(CONV_220, 2) == 15
+    monkeypatch.setattr(geometry, "close", _no_closure)
+    # det 2 * 10^6 passes the default order cap 2^20
+    big = LatticeSimplex(2, ((0, 0), (2000, 0), (0, 1000)))
+    for simplex, caps in ((big, {}), (CONV_220, {"DEFAULT_MAX_ORDER": 3}),
+                          (CONV_220, {"MAX_TABLE_CELLS": 11})):
+        with monkeypatch.context() as mp:
+            for name, cap in caps.items():
+                mp.setattr(groups, name, cap)
+            for count in (lambda S: count_lattice_points(S, 1),
+                          lambda S: ehrhart_table(S, 1),
+                          min_interior_dilation):
+                with pytest.raises(GroupTooLarge):
+                    count(simplex)
 
 
 def test_ehrhart_table_refuses_before_counting(monkeypatch):
-    def not_past_the_budget(*args, **kwargs):
-        raise AssertionError("counting started past the box budget")
-
-    monkeypatch.setattr(geometry, "count_lattice_points", not_past_the_budget)
-    # each of n = 0..20 fits alone (n = 20 walks 501^2), not all together
+    # a table sums (max_n + 1)(d + 1) terms
+    segment = LatticeSimplex(1, ((0,), (1,)))
+    top = geometry.MAX_COUNT_TERMS // 2 - 1
+    assert ehrhart_table(segment, top).counts[-1] == top + 1
+    assert len(ehrhart_table(CONV_220, geometry.MAX_COUNT_TERMS // 3 - 1)
+               .counts) == geometry.MAX_COUNT_TERMS // 3
+    with monkeypatch.context() as mp:
+        mp.setattr(geometry, "lambda_from_vertices", _no_closure)
+        for simplex, max_n in ((segment, top + 1),
+                               (CONV_220, geometry.MAX_COUNT_TERMS // 3)):
+            with pytest.raises(BudgetExceeded):
+                ehrhart_table(simplex, max_n)
+    # a small det with long edges: the table is cheap at any max_n
     wide = LatticeSimplex(3, ((0, 0, 0), (25, 0, 0), (0, 25, 0), (0, 0, 1)))
-    with pytest.raises(BudgetExceeded):
-        ehrhart_table(wide, 20)
-    # every dilation walks at least one point
-    with pytest.raises(BudgetExceeded):
-        ehrhart_table(CONV_220, geometry.MAX_BOX_POINTS)
-    # m = 1 alone fits, m = 1..d+1 together do not
+    table = ehrhart_table(wide, 21).counts
+    assert table[:3] == tuple(walk_count(wide, n) for n in range(3))
+    assert h_star_from_counts(table, 3) == h_star(lambda_from_vertices(wide))
     wider = LatticeSimplex(3, ((0, 0, 0), (200, 0, 0), (0, 200, 0),
                                (0, 0, 1)))
-    with pytest.raises(BudgetExceeded):
-        min_interior_dilation(wider)
+    assert min_interior_dilation(wider) == 2
+    assert [walk_count(wider, m, strict=True) for m in (1, 2)] == [0, 19701]
 
 
 def test_h_star_from_counts_examples():
@@ -248,7 +284,7 @@ def test_ehrhart_table_monotone():
 def test_code_group_oracle_equivalence():
     B3 = simplex_code_group(3)
     S3 = realize_vertices(B3)
-    counts = [count_lattice_points(S3, n) for n in range(7)]
+    counts = [walk_count(S3, n) for n in range(7)]
     assert h_star_from_counts(counts, 6) == h_star(B3)
 
 
@@ -276,9 +312,45 @@ def test_oracle_equivalence_random_groups():
     for _ in range(25):
         G = random_integer_sum_group(rng, e_max=5, den_max=6, max_order=48)
         simplex = realize_vertices(G)
-        counts = [count_lattice_points(simplex, n)
-                  for n in range(simplex.d + 1)]
+        counts = [walk_count(simplex, n) for n in range(simplex.d + 1)]
         assert h_star_from_counts(counts, simplex.d) == h_star(G)
+
+
+def test_closed_forms_match_the_walk():
+    """Counts from h*, closed and strict, and the codegree agree with the
+    box walk on random simplices; the walk's cost grows as n^(d-1), so the
+    dilations stop at 6 - d."""
+    rng = random.Random(211)
+    checked = 0
+    while checked < 200:
+        d = rng.randint(0, 5)
+        verts = tuple(tuple(rng.randint(-4, 4) for _ in range(d))
+                      for _ in range(d + 1))
+        try:
+            simplex = LatticeSimplex(d, verts)
+        except DegenerateSimplex:
+            continue
+        for n in range(min(4, 6 - d) + 1):
+            for strict in (False, True):
+                assert count_lattice_points(simplex, n, strict) == \
+                    walk_count(simplex, n, strict), (simplex, n, strict)
+        m = 1
+        while walk_count(simplex, m, strict=True) == 0:
+            m += 1
+        assert min_interior_dilation(simplex) == m, simplex
+        checked += 1
+
+
+def test_counts_do_not_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a count walked the box")
+
+    # geometry holds no binding of the walk that the patch would miss
+    assert "_kernels" not in vars(geometry)
+    monkeypatch.setattr(_kernels, "count_box_points", no_walk)
+    assert count_lattice_points(CONV_220, 2, strict=True) == 3
+    assert ehrhart_table(CONV_220, 2).counts == (1, 6, 15)
+    assert min_interior_dilation(CONV_220) == 2
 
 
 def _adjugate_and_sign(simplex):

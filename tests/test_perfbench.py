@@ -32,6 +32,19 @@ def _check_recorded_answers(name, requests_count, keys_count):
         assert workloads.digest(req.run()) == answers[req.key], req.key
 
 
+def test_traced_functions_resolve():
+    # the tracer wraps each of these by name when it is installed; the
+    # package does not call _kernels.count_box_points, which is kept for
+    # the tracer until the benchmark stops tracing it
+    spans = _load("spans")
+    for name, module_name, attr in spans.TRACED:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), (
+            f"span {name}: {module_name}.{attr} is gone, and "
+            f"perfbench/spans.py wraps it by name (_kernels.count_box_points "
+            f"is kept for the tracer)")
+
+
 def test_analyze_requests_match_recorded_answers():
     _check_recorded_answers("analyze", 125, 122)
 
