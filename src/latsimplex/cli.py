@@ -15,8 +15,7 @@ import json
 import sys
 
 from . import cayley, classify, codes, geometry, groups
-from .errors import (BudgetExceeded, GroupTooLarge, InvalidInput,
-                     LatSimplexError)
+from .errors import InvalidInput, LatSimplexError
 from .residues import ResidueVector, as_int, int_rows
 
 
@@ -44,10 +43,8 @@ def _group_from_json(obj) -> groups.LambdaGroup:
     try:
         e = as_int(obj["e"])
         den = as_int(obj["den"])
-        # a table of even one element holds e cells
-        if e > groups.MAX_TABLE_CELLS:
-            raise GroupTooLarge(f"e = {e} exceeds the budget of "
-                                f"{groups.MAX_TABLE_CELLS} table cells")
+        # admitted as ``close`` would, before the zero row below is built
+        groups._admit_table(1, e, f"e = {e}")
         gens = [ResidueVector(den, nums)
                 for nums in int_rows(obj["generators"], "generators")]
         if not gens:
@@ -134,17 +131,8 @@ def cmd_realize(args) -> int:
 
 
 def cmd_ehrhart(args) -> int:
-    if args.max_n < 0:
-        raise InvalidInput("--max-n must be nonnegative")
     obj = _read_json(args.simplex)
     try:
-        d = as_int(obj["d"])
-        # refuse before the degeneracy check, whose cost grows as d^3
-        if d + 1 > geometry.MAX_REALIZE_COORDINATES:
-            raise BudgetExceeded(
-                f"the residue group of a {d}-simplex has {d + 1} "
-                f"coordinates, more than the budget of "
-                f"{geometry.MAX_REALIZE_COORDINATES}")
         simplex = geometry.LatticeSimplex.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import groups
-from .errors import DimensionMismatch, GroupTooLarge, HypothesesNotMet
+from .errors import DimensionMismatch, HypothesesNotMet
 from .groups import LambdaGroup, close
 from .residues import ResidueVector
 
@@ -39,19 +39,21 @@ class BinaryMatrix:
         return [self.column(j) for j in range(1, self.cols + 1)]
 
 
+def _pow2(u: int) -> int:
+    """2^u, clamped at 2^(bit length of the cell budget), which passes that
+    budget, so that a huge u builds no huge integer."""
+    return 1 << min(u, groups.MAX_TABLE_CELLS.bit_length())
+
+
 def projective_matrix(r: int) -> BinaryMatrix:
     """The r x (2^r - 1) matrix of all nonzero binary column vectors.
 
-    Raises GroupTooLarge before building anything when its r (2^r - 1)
-    cells would exceed ``groups.MAX_TABLE_CELLS``.
+    Raises GroupTooLarge before building anything when its r rows on
+    2^r - 1 coordinates would not be admitted as an element table.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    budget = groups.MAX_TABLE_CELLS
-    # as in simplex_code_group, a huge r builds no huge integer
-    if r > budget.bit_length() or r * ((1 << r) - 1) > budget:
-        raise GroupTooLarge(f"the projective matrix for r = {r} exceeds the "
-                            f"budget of {budget} table cells")
+    groups._admit_table(r, _pow2(r) - 1, f"the projective matrix for r = {r}")
     order = sorted(range(1, 1 << r), key=lambda v: (-v.bit_count(), -v))
     bits = tuple(
         tuple((v >> (r - 1 - i)) & 1 for v in order) for i in range(r))
@@ -84,12 +86,8 @@ def simplex_code_rows(r: int) -> tuple[ResidueVector, ...]:
     """
     if r < 2:
         raise ValueError("r must be at least 2")
-    budget = groups.MAX_TABLE_CELLS
-    # 2^r alone exceeds the budget from r = bit_length on; this keeps a huge
-    # r from building a huge integer
-    if r >= budget.bit_length() or (1 << r) * ((1 << r) - 1) > budget:
-        raise GroupTooLarge(f"the code group for r = {r} exceeds the budget "
-                            f"of {budget} table cells")
+    order = _pow2(r)
+    groups._admit_table(order, order - 1, f"the code group for r = {r}")
     return half_matrix(r)
 
 
@@ -97,7 +95,7 @@ def simplex_code_group(r: int) -> LambdaGroup:
     """Group generated by the half-entry rows; order 2^r, all weights equal.
 
     Raises GroupTooLarge before building anything when the 2^r x (2^r - 1)
-    element table would exceed ``groups.MAX_TABLE_CELLS``.
+    element table would not be admitted.
     """
     return close(simplex_code_rows(r))
 
@@ -134,13 +132,8 @@ def _counterexample_exponents(s: int) -> list[int]:
     exponents = [u for u in range((2 * s).bit_length()) if (2 * s) >> u & 1]
     exponents.reverse()
     e = 4 * s - (2 * s).bit_count()
-    # clamped past the cell budget, so that a huge s builds no huge integer
-    order = 1 << min(sum(u + 1 for u in exponents),
-                     groups.MAX_TABLE_CELLS.bit_length())
-    if order > groups.DEFAULT_MAX_ORDER or order * e > groups.MAX_TABLE_CELLS:
-        raise GroupTooLarge(
-            f"the counterexample for s = {s} on {e} coordinates exceeds the "
-            f"order cap or the budget of {groups.MAX_TABLE_CELLS} table cells")
+    groups._admit_table(_pow2(sum(u + 1 for u in exponents)), e,
+                        f"the counterexample for s = {s} on {e} coordinates")
     return exponents
 
 

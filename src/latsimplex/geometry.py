@@ -26,7 +26,6 @@ from . import groups
 from .errors import (
     BudgetExceeded,
     DegenerateSimplex,
-    GroupTooLarge,
     InconsistentCounts,
     NonIntegralHeights,
     RankDeficient,
@@ -290,7 +289,16 @@ class LatticeSimplex:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LatticeSimplex":
-        return cls(obj["d"], int_rows(obj["vertices"], "vertices"))
+        """A simplex whose residue group would pass the coordinate budget
+        of a realization is refused before the degeneracy check, whose
+        elimination grows as d^3."""
+        d = as_int(obj["d"])
+        if d + 1 > MAX_REALIZE_COORDINATES:
+            raise BudgetExceeded(
+                f"the residue group of a {d}-simplex has {d + 1} "
+                f"coordinates, more than the budget of "
+                f"{MAX_REALIZE_COORDINATES}")
+        return cls(d, int_rows(obj["vertices"], "vertices"))
 
 
 @dataclass(frozen=True)
@@ -360,17 +368,13 @@ def lambda_from_vertices(simplex: LatticeSimplex) -> LambdaGroup:
 
     x lies in it exactly when x @ B is integral, for B the bordered vertex
     matrix, so it is generated by the rows of B^-1 = adj / det mod 1.  Its
-    order is |det|, so a group past the order cap or the cell budget is
-    refused with GroupTooLarge before anything is closed.
+    order is |det|, so a table that ``groups`` would not admit is refused
+    with GroupTooLarge before anything is closed.
     """
     det = simplex._det
     den = abs(det)
-    if (den > groups.DEFAULT_MAX_ORDER
-            or den * (simplex.d + 1) > groups.MAX_TABLE_CELLS):
-        raise GroupTooLarge(
-            f"the residue group of a simplex of volume {den} exceeds the "
-            f"order cap {groups.DEFAULT_MAX_ORDER} or the budget of "
-            f"{groups.MAX_TABLE_CELLS} table cells")
+    groups._admit_table(den, simplex.d + 1,
+                        f"the residue group of a simplex of volume {den}")
     sign = 1 if det > 0 else -1
     return close([ResidueVector(den, tuple(sign * x % den for x in row))
                   for row in simplex._adj])
@@ -406,10 +410,12 @@ def count_lattice_points(simplex: LatticeSimplex, n: int,
 def ehrhart_table(simplex: LatticeSimplex, max_n: int) -> EhrhartTable:
     """Counts at n = 0..max_n, from h* of the simplex's residue group.
 
-    A table of more than ``MAX_COUNT_TERMS`` terms, (max_n + 1)(d + 1), is
-    refused before the group is closed.
+    A negative ``max_n``, or a table of more than ``MAX_COUNT_TERMS``
+    terms, (max_n + 1)(d + 1), is refused before the group is closed.
     """
     max_n = as_int(max_n)
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
     terms = (max_n + 1) * (simplex.d + 1)
     if terms > MAX_COUNT_TERMS:
         raise BudgetExceeded(
@@ -425,11 +431,13 @@ def h_star_from_counts(counts, d: int) -> HStarPolynomial:
 
     Any extra counts beyond d are cross-checked against the recovered
     polynomial; a negative or non-reproducing coefficient set means the
-    counting or the realization is broken.
+    counting or the realization is broken.  A negative ``d`` is refused.
     """
     if isinstance(counts, EhrhartTable):
         counts = counts.counts
     counts = list(map(as_int, counts))
+    if d < 0:
+        raise ValueError("dimension must be nonnegative")
     if len(counts) < d + 1:
         raise InconsistentCounts(f"need counts for every n in 0..{d}")
     coeffs = []
@@ -440,9 +448,7 @@ def h_star_from_counts(counts, d: int) -> HStarPolynomial:
             raise InconsistentCounts(f"coefficient of t^{k} is negative")
         coeffs.append(h)
     for m in range(len(counts)):
-        pred = sum(coeffs[k] * comb(m - k + d, d)
-                   for k in range(min(m, d) + 1))
-        if pred != counts[m]:
+        if _count(coeffs, d, m, False) != counts[m]:
             raise InconsistentCounts(f"counts are not Ehrhart-consistent at n={m}")
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()

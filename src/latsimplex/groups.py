@@ -36,6 +36,16 @@ MAX_TABLE_CELLS = 1 << 24
 DEFAULT_CANONICAL_BUDGET = 2_000_000
 
 
+def _admit_table(rows: int, cols: int, what: str) -> None:
+    """Refuse ``what``, an element table of ``rows`` elements on ``cols``
+    coordinates, before it is built: past ``MAX_TABLE_CELLS`` cells or past
+    ``DEFAULT_MAX_ORDER`` elements, both read at call time."""
+    for used, budget, unit in ((rows * cols, MAX_TABLE_CELLS, "table cells"),
+                               (rows, DEFAULT_MAX_ORDER, "elements")):
+        if used > budget:
+            raise GroupTooLarge(f"{what} exceeds the budget of {budget} {unit}")
+
+
 @dataclass(frozen=True)
 class HStarPolynomial:
     """Nonnegative integer coefficients of h*(t), lowest power first."""
@@ -89,14 +99,16 @@ class LambdaGroup:
                  "full_support", "_masks")
 
     def __init__(self, e, den, generators, elements):
+        # ``generators`` generate ``elements``; sums and supports add, so
+        # both facts are read from the generators
         self.e = e
         self.den = den
         self.generators = generators
         self.elements = elements
-        self.integer_sum = all(sum(el) % den == 0 for el in elements)
+        self.integer_sum = all(sum(g.nums) % g.den == 0 for g in generators)
         union = 0
-        for el in elements:
-            for i, a in enumerate(el):
+        for g in generators:
+            for i, a in enumerate(g.nums):
                 if a:
                     union |= 1 << i
         self.full_support = union == (1 << e) - 1
@@ -172,13 +184,12 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 
 
 def _build(e, den, gen_nums, elements) -> LambdaGroup:
-    """Normalize the denominator to the group exponent and assemble."""
-    g = den
-    for el in elements:
-        for a in el:
-            g = gcd(g, a)
-        if g == 1:
-            break
+    """Normalize the denominator to the group exponent and assemble.
+
+    The generators generate the elements, so their numerators have the
+    elements' gcd with ``den``.
+    """
+    g = gcd(den, *(a for nums in gen_nums for a in nums))
     if g > 1:
         den //= g
         elements = [tuple(a // g for a in el) for el in elements]
@@ -205,9 +216,8 @@ def close(generators, max_order: int | None = None) -> LambdaGroup:
     for g in gens:
         if g.e != e:
             raise DimensionMismatch("generators have mixed lengths")
-    if e > MAX_TABLE_CELLS:
-        raise GroupTooLarge(f"e = {e} exceeds the budget of "
-                            f"{MAX_TABLE_CELLS} table cells")
+    # even the one-element table holds e cells
+    _admit_table(1, e, f"e = {e}")
     gens = [g.reduced() for g in gens]
     den = 1
     for g in gens:
@@ -225,6 +235,7 @@ def close(generators, max_order: int | None = None) -> LambdaGroup:
 
 
 def trivial_group(e: int) -> LambdaGroup:
+    _admit_table(1, e, f"e = {e}")
     zero = (0,) * e
     return LambdaGroup(e, 1, (ResidueVector(1, zero),), (zero,))
 
@@ -387,11 +398,7 @@ def restrict(G: LambdaGroup, S) -> LambdaGroup:
 
 def direct_sum(G1: LambdaGroup, G2: LambdaGroup) -> LambdaGroup:
     """Block sum on disjoint coordinates; order multiplies, heights add."""
-    if G1.order * G2.order > DEFAULT_MAX_ORDER:
-        raise GroupTooLarge("direct sum exceeds the order cap")
-    if G1.order * G2.order * (G1.e + G2.e) > MAX_TABLE_CELLS:
-        raise GroupTooLarge(
-            f"direct sum exceeds the budget of {MAX_TABLE_CELLS} table cells")
+    _admit_table(G1.order * G2.order, G1.e + G2.e, "the direct sum")
     den = lcm(G1.den, G2.den)
     k1 = den // G1.den
     k2 = den // G2.den

@@ -243,6 +243,16 @@ DOMAIN_ERROR_CASES = [
     ("generator length", "invalid-input",
      json.dumps({"e": 3, "den": 2, "generators": [[1, 1]]}),
      ["analyze", "{path}"]),
+    # no generators stand for the zero row, which takes den and e as given
+    ("den 0 without generators", "invalid-input",
+     json.dumps({"e": 3, "den": 0, "generators": []}),
+     ["analyze", "{path}"]),
+    ("e 0 without generators", "invalid-input",
+     json.dumps({"e": 0, "den": 1, "generators": []}),
+     ["analyze", "{path}"]),
+    ("e -2 without generators", "invalid-input",
+     json.dumps({"e": -2, "den": 1, "generators": []}),
+     ["analyze", "{path}"]),
     ("missing file", "invalid-input", None, ["analyze", "{path}"]),
     ("wrong vertex count", "invalid-input",
      json.dumps({"d": 2, "vertices": [[0, 0], [1, 0]]}),

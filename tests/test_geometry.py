@@ -252,6 +252,14 @@ def test_ehrhart_table_refuses_before_counting(monkeypatch):
                                (CONV_220, geometry.MAX_COUNT_TERMS // 3)):
             with pytest.raises(BudgetExceeded):
                 ehrhart_table(simplex, max_n)
+    # a negative max_n is refused as count_lattice_points refuses a
+    # negative n, not answered with an empty table
+    with monkeypatch.context() as mp:
+        mp.setattr(geometry, "close", _no_closure)
+        for table in (lambda S: ehrhart_table(S, -1),
+                      lambda S: count_lattice_points(S, -1)):
+            with pytest.raises(ValueError):
+                table(CONV_220)
     # a small det with long edges: the table is cheap at any max_n
     wide = LatticeSimplex(3, ((0, 0, 0), (25, 0, 0), (0, 25, 0), (0, 0, 1)))
     table = ehrhart_table(wide, 21).counts
@@ -273,6 +281,10 @@ def test_h_star_from_counts_examples():
     # a float count is refused, not truncated to give h* = 1
     with pytest.raises(TypeError):
         h_star_from_counts([1.9, 3, 6], 2)
+    # no simplex has dimension -1, so there is no polynomial of degree -1
+    for counts in ([], [1]):
+        with pytest.raises(ValueError):
+            h_star_from_counts(counts, -1)
 
 
 def test_ehrhart_table_monotone():
@@ -462,7 +474,18 @@ def test_degree_via_interior_points():
     assert min_interior_dilation(CONV_220) == 2
 
 
-def test_simplex_json_round_trip():
+def test_simplex_json_round_trip(monkeypatch):
     obj = CONV_220.to_json()
     assert obj == {"d": 2, "vertices": [[0, 0], [2, 0], [0, 2]]}
     assert LatticeSimplex.from_json(obj) == CONV_220
+    # the residue group of a d-simplex lies on d + 1 coordinates, budgeted
+    # as a realization's, and a d past it is refused before the elimination
+    d = geometry.MAX_REALIZE_COORDINATES
+    wide = {"d": d, "vertices": [[0] * d for _ in range(d + 1)]}
+
+    def no_elimination(mat):
+        raise AssertionError("elimination started past the dimension budget")
+
+    monkeypatch.setattr(geometry, "_det_adjugate", no_elimination)
+    with pytest.raises(BudgetExceeded):
+        LatticeSimplex.from_json(wide)

@@ -1,7 +1,9 @@
 """Group closure, h* dictionary, covers, atoms, restriction and canonical forms."""
 
+import json
 import random
 import time
+from math import gcd
 
 import pytest
 
@@ -15,25 +17,29 @@ from _support import (
     reference_components,
 )
 from latsimplex import (
+    LatticeSimplex,
     ResidueVector,
+    SearchBudget,
     atoms,
     canonical_form,
     check_weight_bound,
     close,
     degree,
     direct_sum,
+    enumerate_groups,
     f,
     greedy_support_cover,
     h_star,
     half_lemma_witness,
     half_matrix,
     is_lattice_pyramid,
+    lambda_from_vertices,
     restrict,
     simplex_code_group,
     trivial_group,
     volume,
 )
-from latsimplex import _kernels, groups
+from latsimplex import _kernels, cli, codes, geometry, groups
 from latsimplex.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -486,6 +492,88 @@ def test_direct_sum_cell_budget(monkeypatch):
     assert direct_sum(B2, B2).order == 16  # 16 x 6 cells
     with pytest.raises(GroupTooLarge):
         direct_sum(B3, B2)  # 32 x 10 cells
+
+
+class _Asked(Exception):
+    """Raised by the admission in place of its answer."""
+
+
+def test_every_table_builder_asks_the_admission(monkeypatch, tmp_path):
+    # each builder asks groups._admit_table about its table's shape before
+    # it builds anything: with the admission answering by a raise, the
+    # building is never reached
+    code_rows = half_matrix(2)
+    B2 = simplex_code_group(2)
+    simplex = LatticeSimplex(2, ((0, 0), (2, 0), (0, 2)))
+    docs = {"rows": B2.to_json(), "empty": {"e": 3, "den": 1, "generators": []}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+
+    def asked(rows, cols, what):
+        raise _Asked(rows, cols)
+
+    def built(*args, **kwargs):
+        raise AssertionError("a table was built before its admission")
+
+    monkeypatch.setattr(groups, "_admit_table", asked)
+    for module, name in ((groups, "_build"), (groups, "LambdaGroup"),
+                         (_kernels, "closure_table"), (geometry, "close"),
+                         (codes, "half_matrix"), (codes, "BinaryMatrix")):
+        monkeypatch.setattr(module, name, built)
+    builders = [
+        (lambda: close(code_rows), (1, 3)),
+        (lambda: trivial_group(3), (1, 3)),
+        (lambda: direct_sum(B2, B2), (16, 6)),
+        (lambda: lambda_from_vertices(simplex), (4, 3)),
+        (lambda: codes.projective_matrix(3), (3, 7)),
+        (lambda: codes.simplex_code_rows(3), (8, 7)),
+        # 2s = 4 + 2: B_3 and B_2 on 7 + 3 coordinates
+        (lambda: codes.counterexample_rows(3), (32, 10)),
+    ] + [(lambda name=name: cli.main(["analyze",
+                                      str(tmp_path / f"{name}.json")]),
+          (1, 3)) for name in docs]
+    for build, shape in builders:
+        with pytest.raises(_Asked) as asked_about:
+            build()
+        assert asked_about.value.args == shape
+
+
+def _facts_from_cells(G):
+    """integer_sum, full_support and the exponent's gcd, from every cell."""
+    union = 0
+    for el in G.elements:
+        for i, a in enumerate(el):
+            if a:
+                union |= 1 << i
+    return (all(sum(el) % G.den == 0 for el in G.elements),
+            union == (1 << G.e) - 1,
+            gcd(G.den, *(a for el in G.elements for a in el)))
+
+
+def test_group_facts_are_read_from_generators():
+    # integer_sum, full_support and the reduced exponent follow from the
+    # generators, because sums and supports add; every cell agrees
+    rng = random.Random(28)
+    cases = []
+    prev = trivial_group(4)
+    for _ in range(150):
+        e = rng.randint(1, 7)
+        den = rng.randint(1, 8)
+        gens = [ResidueVector(den, [rng.choice((0, rng.randrange(den)))
+                                    for _ in range(e)])
+                for _ in range(rng.randint(1, 3))]
+        G = close(gens, max_order=256)
+        S = [i for i in range(1, e + 1) if rng.random() < 0.6] or [e]
+        cases += [G, restrict(G, S), direct_sum(G, prev)]
+        prev = G
+    cases.append(trivial_group(4))
+    cases += enumerate_groups(SearchBudget(5, 6, 2, 512), 2,
+                              require_non_pyramid=False).groups
+    cases += enumerate_groups(SearchBudget(7, 4, 3, 2048), 2).groups
+    assert sum(not G.integer_sum for G in cases) > 50
+    assert sum(G.full_support for G in cases) > 50
+    for G in cases:
+        assert (G.integer_sum, G.full_support, 1) == _facts_from_cells(G), G
 
 
 def test_dimension_bounds_on_random_non_pyramids():
